@@ -7,15 +7,16 @@
 #ifndef TWIG_BENCH_BENCH_UTIL_HH
 #define TWIG_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "autoscale/node_class.hh"
+#include "common/flags.hh"
 
 namespace twig::bench {
 
@@ -76,39 +77,14 @@ struct BenchArgs
 
     static void
     printUsage(const char *prog,
-               const std::vector<std::string> &extra_value_flags = {})
-    {
-        std::string extras;
-        for (const auto &flag : extra_value_flags)
-            extras += " [" + flag + " VALUE]";
-        std::printf(
-            "usage: %s [--full] [--seed N] [--jobs N]%s\n"
-            "  --full    paper-length schedules (hours) instead "
-            "of compressed ones\n"
-            "  --seed N  base seed; per-run seeds are derived "
-            "from (seed, config index)\n"
-            "  --jobs N  run independent experiment configs on N "
-            "threads (default 1;\n"
-            "            results are identical for any N)\n"
-            "  --listen ADDR / --port N / --duration-s S / "
-            "--connections N\n"
-            "            live-serving knobs (benches that stand up a "
-            "server only)\n"
-            "  --domains N\n"
-            "            routing domains for fleet benches (>= 1; "
-            "default: per-scale)\n"
-            "  --autoscale MIN:MAX\n"
-            "            elastic-fleet bounds for autoscale benches "
-            "(MIN >= 1, MIN <= MAX)\n"
-            "  --cost-per-node-hour X\n"
-            "            override every slot's hourly rate, $ "
-            "(default: per-class)\n"
-            "  --node-class ID\n"
-            "            add a built-in node class to the fleet mix "
-            "(repeatable, no\n"
-            "            duplicates: std18 | little6 | gen1 | gen2)\n",
-            prog, extras.c_str());
-    }
+               const std::vector<std::string> &extra_value_flags = {});
+
+  private:
+    /** The bench flags bound to @p a; each extra value flag lands in
+     * the same slot of @p extra_values. */
+    static common::FlagParser
+    flags(BenchArgs &a, const std::vector<std::string> &extra_value_flags,
+          std::vector<std::string> &extra_values);
 };
 
 struct BenchArgs::ParseResult
@@ -121,177 +97,89 @@ struct BenchArgs::ParseResult
     bool ok() const { return error.empty() && !helpRequested; }
 };
 
+inline common::FlagParser
+BenchArgs::flags(BenchArgs &a,
+                 const std::vector<std::string> &extra_value_flags,
+                 std::vector<std::string> &extra_values)
+{
+    common::FlagParser p;
+    p.addBool("--full", &a.full,
+              "paper-length schedules (hours) instead of compressed ones");
+    p.addCount("--seed", &a.seed,
+               "base seed; per-run seeds are derived from (seed, config "
+               "index)");
+    p.addCount("--jobs", &a.jobs,
+               "run independent experiment configs on N threads "
+               "(default 1; results are identical for any N)",
+               1);
+    p.addString("--listen", &a.listen,
+                "bind address of live-serving benches (default 127.0.0.1)",
+                [](const std::string &v) {
+                    return v.empty() ? "wants a non-empty address" : "";
+                });
+    p.addCount("--port", &a.port,
+               "TCP port of live-serving benches; 0 binds an ephemeral "
+               "one");
+    p.addDouble("--duration-s", &a.durationS,
+                "served-phase wall-clock seconds (default 2)",
+                {.min = 0.0, .openMin = true});
+    p.addCount("--connections", &a.connections,
+               "load-generator connections (default 8)", 1);
+    p.addCount("--domains", &a.domains,
+               "routing domains of fleet benches (default: per-scale)", 1);
+    p.addMinMax("--autoscale", &a.autoscaleMin, &a.autoscaleMax,
+                "elastic-fleet bounds MIN:MAX of autoscale benches");
+    p.addDouble("--cost-per-node-hour", &a.costPerNodeHour,
+                "override every slot's hourly rate, $ (default: "
+                "per-class)",
+                {.min = 0.0});
+    p.addStringList(
+        "--node-class", &a.nodeClasses,
+        "add a built-in node class to the fleet mix (std18 | little6 | "
+        "gen1 | gen2; no duplicates)",
+        [&a](const std::string &id) -> std::string {
+            if (!autoscale::isBuiltinNodeClass(id))
+                return "names the unknown class '" + id +
+                    "' (want std18 | little6 | gen1 | gen2)";
+            if (std::find(a.nodeClasses.begin(), a.nodeClasses.end(),
+                          id) != a.nodeClasses.end())
+                return "repeats class '" + id + "'";
+            return {};
+        });
+    extra_values.resize(extra_value_flags.size());
+    for (std::size_t i = 0; i < extra_value_flags.size(); ++i)
+        p.addString(extra_value_flags[i], &extra_values[i],
+                    "bench-specific value");
+    return p;
+}
+
 inline BenchArgs::ParseResult
 BenchArgs::tryParse(int argc, char **argv,
                     const std::vector<std::string> &extra_value_flags)
 {
     ParseResult res;
-    auto fail = [&res](std::string msg) {
-        res.error = std::move(msg);
-        return res;
-    };
-    auto parseCount = [](const char *flag, const char *text,
-                         std::uint64_t &out, std::string &err) {
-        if (text[0] == '\0' || text[0] == '-' || text[0] == '+') {
-            err = std::string(flag) + " wants a non-negative integer, " +
-                "got '" + text + "'";
-            return false;
-        }
-        errno = 0;
-        char *end = nullptr;
-        out = std::strtoull(text, &end, 10);
-        if (errno != 0 || end == text || *end != '\0') {
-            err = std::string(flag) + " wants a non-negative integer, " +
-                "got '" + text + "'";
-            return false;
-        }
-        return true;
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--full") == 0) {
-            res.args.full = true;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            res.helpRequested = true;
-            return res;
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            if (i + 1 >= argc)
-                return fail("--seed is missing its value");
-            std::string err;
-            if (!parseCount("--seed", argv[++i], res.args.seed, err))
-                return fail(err);
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc)
-                return fail("--jobs is missing its value");
-            std::uint64_t jobs = 0;
-            std::string err;
-            if (!parseCount("--jobs", argv[++i], jobs, err))
-                return fail(err);
-            if (jobs == 0)
-                return fail("--jobs must be at least 1");
-            res.args.jobs = static_cast<std::size_t>(jobs);
-        } else if (std::strcmp(arg, "--domains") == 0) {
-            if (i + 1 >= argc)
-                return fail("--domains is missing its value");
-            std::uint64_t domains = 0;
-            std::string err;
-            if (!parseCount("--domains", argv[++i], domains, err))
-                return fail(err);
-            if (domains == 0)
-                return fail("--domains must be at least 1");
-            res.args.domains = static_cast<std::size_t>(domains);
-        } else if (std::strcmp(arg, "--autoscale") == 0) {
-            if (i + 1 >= argc)
-                return fail("--autoscale is missing its value");
-            const std::string text = argv[++i];
-            const std::size_t colon = text.find(':');
-            if (colon == std::string::npos ||
-                text.find(':', colon + 1) != std::string::npos)
-                return fail("--autoscale wants MIN:MAX, got '" + text +
-                            "'");
-            std::uint64_t lo = 0, hi = 0;
-            std::string err;
-            if (!parseCount("--autoscale",
-                            text.substr(0, colon).c_str(), lo, err) ||
-                !parseCount("--autoscale",
-                            text.substr(colon + 1).c_str(), hi, err))
-                return fail(err);
-            if (lo == 0)
-                return fail("--autoscale MIN must be at least 1");
-            if (lo > hi)
-                return fail("--autoscale wants MIN <= MAX, got '" +
-                            text + "'");
-            res.args.autoscaleMin = static_cast<std::size_t>(lo);
-            res.args.autoscaleMax = static_cast<std::size_t>(hi);
-        } else if (std::strcmp(arg, "--cost-per-node-hour") == 0) {
-            if (i + 1 >= argc)
-                return fail("--cost-per-node-hour is missing its value");
-            const char *text = argv[++i];
-            errno = 0;
-            char *end = nullptr;
-            const double v = std::strtod(text, &end);
-            if (errno != 0 || end == text || *end != '\0')
-                return fail(std::string("--cost-per-node-hour wants a "
-                                        "number, got '") +
-                            text + "'");
-            if (v < 0.0)
-                return fail("--cost-per-node-hour must be "
-                            "non-negative");
-            res.args.costPerNodeHour = v;
-        } else if (std::strcmp(arg, "--node-class") == 0) {
-            if (i + 1 >= argc)
-                return fail("--node-class is missing its value");
-            const std::string id = argv[++i];
-            if (!autoscale::isBuiltinNodeClass(id))
-                return fail("--node-class names the unknown class '" +
-                            id +
-                            "' (want std18 | little6 | gen1 | gen2)");
-            for (const auto &seen : res.args.nodeClasses) {
-                if (seen == id)
-                    return fail("--node-class repeats class '" + id +
-                                "'");
-            }
-            res.args.nodeClasses.push_back(id);
-        } else if (std::strcmp(arg, "--listen") == 0) {
-            if (i + 1 >= argc)
-                return fail("--listen is missing its value");
-            res.args.listen = argv[++i];
-            if (res.args.listen.empty())
-                return fail("--listen wants a non-empty address");
-        } else if (std::strcmp(arg, "--port") == 0) {
-            if (i + 1 >= argc)
-                return fail("--port is missing its value");
-            std::uint64_t port = 0;
-            std::string err;
-            if (!parseCount("--port", argv[++i], port, err))
-                return fail(err);
-            if (port > 65535)
-                return fail("--port must be in 0..65535 (0 binds an "
-                            "ephemeral port)");
-            res.args.port = static_cast<std::uint16_t>(port);
-        } else if (std::strcmp(arg, "--duration-s") == 0) {
-            if (i + 1 >= argc)
-                return fail("--duration-s is missing its value");
-            const char *text = argv[++i];
-            errno = 0;
-            char *end = nullptr;
-            const double v = std::strtod(text, &end);
-            if (errno != 0 || end == text || *end != '\0')
-                return fail(std::string("--duration-s wants a number, "
-                                        "got '") +
-                            text + "'");
-            if (!(v > 0.0))
-                return fail("--duration-s must be positive");
-            res.args.durationS = v;
-        } else if (std::strcmp(arg, "--connections") == 0) {
-            if (i + 1 >= argc)
-                return fail("--connections is missing its value");
-            std::uint64_t conns = 0;
-            std::string err;
-            if (!parseCount("--connections", argv[++i], conns, err))
-                return fail(err);
-            if (conns == 0)
-                return fail("--connections must be at least 1");
-            res.args.connections = static_cast<std::size_t>(conns);
-        } else {
-            bool matched = false;
-            for (const auto &flag : extra_value_flags) {
-                if (flag != arg)
-                    continue;
-                if (i + 1 >= argc)
-                    return fail(flag + " is missing its value");
-                res.args.extra[flag] = argv[++i];
-                matched = true;
-                break;
-            }
-            if (!matched)
-                return fail(std::string("unknown flag '") + arg +
-                            "' (see --help)");
-        }
+    std::vector<std::string> extra_values;
+    const auto parsed = flags(res.args, extra_value_flags, extra_values)
+                            .parse(argc, argv);
+    res.error = parsed.error;
+    res.helpRequested = parsed.helpRequested;
+    for (std::size_t i = 0; i < extra_value_flags.size(); ++i) {
+        if (parsed.has(extra_value_flags[i]))
+            res.args.extra[extra_value_flags[i]] = extra_values[i];
     }
     return res;
+}
+
+inline void
+BenchArgs::printUsage(const char *prog,
+                      const std::vector<std::string> &extra_value_flags)
+{
+    BenchArgs unused;
+    std::vector<std::string> extra_values;
+    std::printf("usage: %s [options]\n%s", prog,
+                flags(unused, extra_value_flags, extra_values)
+                    .usageLines()
+                    .c_str());
 }
 
 inline BenchArgs

@@ -7,7 +7,7 @@
  * static mapping, summarised over the trailing window after the
  * learning phase (paper: after the first 10 000 s, over 300 s).
  * Every cell is one harness::ScenarioSpec run through the scenario
- * engine — the same run `twig_sim --scenario scenarios/fig05.json`
+ * engine — the same run `twig --scenario scenarios/fig05.json`
  * performs.
  *
  * Expected shape: all managers keep a similar (high) QoS guarantee;

@@ -3,19 +3,20 @@
 #
 # Usage: scripts/scenario_smoke.sh [BUILD_DIR] [STEPS]
 #
-# Each scenarios/*.json is run through twig_sim --scenario (twig_sim
-# executes both single-node and cluster topologies), overriding the
-# file's schedule with a small --steps so the whole sweep finishes in
-# seconds. A run fails the smoke if it exits non-zero or if its output
-# carries no metrics (no QoS line). Fault scenarios (faults_*.json)
-# additionally must report a fault-event summary, proving the schedule
-# actually fired within the reduced step budget.
+# Each scenarios/*.json is run through twig --scenario (the file names
+# its topology), overriding the file's schedule with a small --steps so
+# the whole sweep finishes in seconds. A run fails the smoke if it
+# exits non-zero or if its output carries no metrics (no QoS line).
+# Fault scenarios (faults_*.json) additionally must report a
+# fault-event summary, proving the schedule actually fired within the
+# reduced step budget. Finally, every kind of bad input must be
+# rejected with exit status exactly 2 and a message (never a crash).
 set -u
 
 cd "$(dirname "$0")/.."
 build_dir=${1:-build}
 steps=${2:-60}
-sim="$build_dir/tools/twig_sim"
+sim="$build_dir/tools/twig"
 
 if [[ ! -x "$sim" ]]; then
     echo "scenario_smoke: $sim not found -- build the project first" >&2
@@ -59,8 +60,42 @@ for scenario in scenarios/*.json; do
     esac
 done
 
+# Bad input: each line is one invocation that must be rejected.
+missing=/nonexistent/twig-smoke
+single=scenarios/fig05.json
+while read -r -a args; do
+    out=$("$sim" "${args[@]}" 2>&1)
+    status=$?
+    if [[ $status -ne 2 || -z "$out" ]]; then
+        printf '%s\n' "$out"
+        echo "scenario_smoke: FAIL '${args[*]}' exited $status (want 2 with a message)" >&2
+        failures=$((failures + 1))
+    fi
+done <<BAD
+--scenario $missing.json
+--service nosuch --steps $steps
+--service masstree --nodes 2 --steps $steps --checkpoint $missing.ckpt
+--service masstree --load nan
+--service masstree --load inf
+--service masstree --load -1
+--service masstree --jobs 0
+--scenario $single --service moses
+--scenario $single --manager parties
+--scenario $single --load 0.3
+--scenario $single --pattern diurnal
+--scenario $single --nodes 4
+--scenario $single --policy wrr
+--scenario $single --hetero
+--scenario $single --checkpoint $missing.ckpt
+--scenario $single --save-checkpoint $missing.ckpt
+--scenario $single --domains 2
+--scenario $single --autoscale 2:6
+--service masstree --policy wrr
+BAD
+echo "== bad input rejected with exit 2"
+
 if [[ $failures -gt 0 ]]; then
-    echo "scenario_smoke: $failures scenario(s) failed" >&2
+    echo "scenario_smoke: $failures check(s) failed" >&2
     exit 1
 fi
 echo "scenario_smoke: all scenarios OK"

@@ -66,9 +66,9 @@ class RecordSink
     virtual void end() {}
 };
 
-/** CSV trace writer: the twig_sim per-step layout on the single
- * topology (cores/DVFS/p99/RPS per service), the twig_cluster fleet
- * layout (RPS/p99 per service) on the cluster. */
+/** CSV trace writer (twig --trace): the per-step layout on the single
+ * topology (cores/DVFS/p99/RPS per service), the fleet layout
+ * (RPS/p99 per service) on the cluster. */
 class CsvTraceSink : public RecordSink
 {
   public:

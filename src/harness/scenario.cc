@@ -1,6 +1,7 @@
 #include "harness/scenario.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hh"
 
@@ -170,6 +171,17 @@ ScenarioSpec::validate(const ManagerRegistry &registry) const
             if (s.pattern == "trace" &&
                 (s.tracePath.empty() || s.traceColumn.empty()))
                 return "trace pattern needs trace_path and trace_column";
+            for (const double v : {s.fraction, s.maxScale, s.maxRps,
+                                   s.lowFraction, s.changeFactor}) {
+                if (!std::isfinite(v))
+                    return "service '" + s.service +
+                        "' has a non-finite load field";
+            }
+            // lowFraction < 0 means "the pattern's default".
+            if (s.fraction < 0.0 || s.maxScale < 0.0 || s.maxRps < 0.0)
+                return "service '" + s.service +
+                    "' has a negative load fraction, max_scale or "
+                    "max_rps";
         }
         return {};
     };

@@ -3,7 +3,7 @@
  * harness::SimProfile — the user-facing view of the simulator's
  * per-phase cycle counters (common/sim_counters.hh).
  *
- * Usage pattern (bench/fig_sim_throughput, tools/twig_sim
+ * Usage pattern (bench/fig_sim_throughput, tools/twig
  * --sim-profile):
  *
  *   SimProfile::enable();

@@ -246,3 +246,14 @@ TEST(BenchArgs, RejectsUnknownAndDuplicateNodeClasses)
     EXPECT_FALSE(tryParse({"--node-class", ""}).ok());
     EXPECT_FALSE(tryParse({"--node-class"}).ok());
 }
+
+TEST(BenchArgs, RejectsNonFiniteNumbers)
+{
+    EXPECT_FALSE(tryParse({"--duration-s", "inf"}).ok());
+    EXPECT_FALSE(tryParse({"--duration-s", "nan"}).ok());
+    EXPECT_FALSE(tryParse({"--cost-per-node-hour", "nan"}).ok());
+    EXPECT_FALSE(tryParse({"--cost-per-node-hour", "inf"}).ok());
+    const auto res = tryParse({"--duration-s", "1e999"});
+    EXPECT_FALSE(res.ok());
+    EXPECT_NE(res.error.find("--duration-s"), std::string::npos);
+}

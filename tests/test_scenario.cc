@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -378,6 +379,69 @@ TEST(ScenarioSpec, ValidateCatchesStructuralErrors)
     broken.domains = 8;
     EXPECT_EQ(broken.validate(registry),
               "more routing domains than nodes");
+}
+
+TEST(ScenarioSpec, ValidateCatchesBadLoadFields)
+{
+    const ManagerRegistry &registry = ManagerRegistry::builtin();
+    ScenarioSpec spec;
+    spec.services.push_back([] {
+        ServiceLoadSpec s;
+        s.service = "masstree";
+        return s;
+    }());
+    const std::string non_finite =
+        "service 'masstree' has a non-finite load field";
+    const std::string negative =
+        "service 'masstree' has a negative load fraction, max_scale or "
+        "max_rps";
+
+    auto broken = spec;
+    broken.services[0].fraction = std::nan("");
+    EXPECT_EQ(broken.validate(registry), non_finite);
+    broken = spec;
+    broken.services[0].fraction = HUGE_VAL;
+    EXPECT_EQ(broken.validate(registry), non_finite);
+    broken = spec;
+    broken.services[0].maxRps = -HUGE_VAL;
+    EXPECT_EQ(broken.validate(registry), non_finite);
+    broken = spec;
+    broken.services[0].lowFraction = std::nan("");
+    EXPECT_EQ(broken.validate(registry), non_finite);
+    broken = spec;
+    broken.services[0].changeFactor = HUGE_VAL;
+    EXPECT_EQ(broken.validate(registry), non_finite);
+
+    broken = spec;
+    broken.services[0].fraction = -1.0;
+    EXPECT_EQ(broken.validate(registry), negative);
+    broken = spec;
+    broken.services[0].maxScale = -0.5;
+    EXPECT_EQ(broken.validate(registry), negative);
+    broken = spec;
+    broken.services[0].maxRps = -10.0;
+    EXPECT_EQ(broken.validate(registry), negative);
+
+    // A negative low fraction keeps meaning "the pattern's default".
+    broken = spec;
+    broken.services[0].lowFraction = -1.0;
+    EXPECT_EQ(broken.validate(registry), "");
+
+    // Event service lists are checked the same way.
+    broken = spec;
+    ScenarioEvent event;
+    event.afterSteps = 10;
+    event.services.push_back(spec.services[0]);
+    event.services[0].fraction = -1.0;
+    broken.events.push_back(event);
+    EXPECT_EQ(broken.validate(registry), negative);
+
+    // A scenario file can carry the same values.
+    const auto from_file = ScenarioSpec::fromJson(common::Json::parse(
+        R"({"name": "neg", "services": [{"service": "masstree",
+            "fraction": -1}]})"));
+    EXPECT_EQ(from_file.validate(registry), negative);
+    EXPECT_THROW(Engine().run(from_file), common::FatalError);
 }
 
 // --- golden runs: the engine reproduces hand-built harness runs ------

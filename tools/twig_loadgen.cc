@@ -34,18 +34,21 @@ main(int argc, char **argv)
     double duration_s = 1.0;
     double batch_ms = 1.0;
 
+    const common::FlagRange positive{.min = 0.0, .openMin = true};
     common::FlagParser parser;
     parser.addString("--host", &host,
                      "daemon address (default 127.0.0.1)");
-    parser.addCount("--port", &port, "daemon TCP port (required)");
+    parser.addCount("--port", &port, "daemon TCP port (required)", 1,
+                    65535);
     parser.addCount("--connections", &connections,
-                    "concurrent connections (default 8)");
+                    "concurrent connections (default 8)", 1);
     parser.addDouble("--rps", &rps,
-                     "total offered request rate (default 100000)");
+                     "total offered request rate (default 100000)",
+                     positive);
     parser.addDouble("--duration-s", &duration_s,
-                     "run length (default 1)");
+                     "run length (default 1)", positive);
     parser.addDouble("--batch-ms", &batch_ms,
-                     "open-loop batch tick (default 1)");
+                     "open-loop batch tick (default 1)", positive);
 
     const auto parsed = parser.parse(argc, argv);
     if (parsed.helpRequested) {
@@ -58,18 +61,8 @@ main(int argc, char **argv)
                      parsed.error.c_str());
         return 2;
     }
-    if (port == 0 || port > 65535) {
-        std::fprintf(stderr,
-                     "%s: need --port in 1..65535 (see --help)\n",
-                     argv[0]);
-        return 2;
-    }
-    if (connections == 0 || duration_s <= 0.0 || batch_ms <= 0.0 ||
-        rps <= 0.0) {
-        std::fprintf(stderr,
-                     "%s: --connections, --rps, --duration-s and "
-                     "--batch-ms must be positive\n",
-                     argv[0]);
+    if (port == 0) {
+        std::fprintf(stderr, "%s: need --port (see --help)\n", argv[0]);
         return 2;
     }
 

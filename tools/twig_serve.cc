@@ -54,12 +54,14 @@ makeParser(Options &opt)
     parser.addString("--listen", &opt.listen,
                      "bind address (default 127.0.0.1)");
     parser.addCount("--port", &opt.port,
-                    "TCP port; 0 binds an ephemeral one (default 0)");
+                    "TCP port; 0 binds an ephemeral one (default 0)", 0,
+                    65535);
     parser.addDouble("--interval-ms", &opt.intervalMs,
                      "wall-clock control interval (default 50)");
     parser.addDouble("--duration-s", &opt.durationS,
                      "stop after this much wall time (default: run "
-                     "until SIGINT/SIGTERM)");
+                     "until SIGINT/SIGTERM)",
+                     {.min = 0.0});
     parser.addCount("--jobs", &opt.jobs,
                     "node-stepping threads (default 1)");
     parser.addCount("--window", &opt.window,
@@ -91,16 +93,6 @@ main(int argc, char **argv)
     }
     if (opt.scenario.empty()) {
         std::fprintf(stderr, "%s: need --scenario FILE (see --help)\n",
-                     argv[0]);
-        return 2;
-    }
-    if (opt.port > 65535) {
-        std::fprintf(stderr, "%s: --port %zu is out of range\n",
-                     argv[0], opt.port);
-        return 2;
-    }
-    if (opt.durationS < 0.0) {
-        std::fprintf(stderr, "%s: --duration-s must be >= 0\n",
                      argv[0]);
         return 2;
     }
