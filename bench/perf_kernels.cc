@@ -2,10 +2,18 @@
  * @file
  * Microbenchmark for the NN kernels behind Twig's control loop.
  *
- * Times the BDQ-shaped GEMMs (batch 64: trunk, head, branch and
- * advantage-output layers) for the tiled kernels in nn/matrix.cc
- * against the seed's naive triple loops (nn::reference::*, kept
- * verbatim in matrix_ref.cc), plus one full BdqLearner::trainStep().
+ * Times the BDQ-shaped GEMMs (the paper net at batch 64: trunk, head,
+ * branch and advantage-output layers; the fast preset's narrow
+ * advantage and value layers, whose n % 16 column tails dominate) for
+ * the tiled kernels in nn/matrix.cc against the seed's naive triple
+ * loops (nn::reference::*, kept verbatim in matrix_ref.cc), the Adam
+ * kernel against the seed's scalar loop on warmed state (moments of
+ * zero-gradient parameters decayed into the subnormals), plus one full
+ * BdqLearner::trainStep().
+ *
+ * Also checks bit-identity: the Adam kernel against
+ * nn::reference::adamStep over the warm-up, and each column-tail GEMM
+ * against the same product on B zero-padded to whole 16-column tiles.
  *
  * Emits a human-readable table and machine-readable JSON
  * (BENCH_kernels.json, or --out PATH).
@@ -21,6 +29,7 @@
 
 #include "bench/bench_util.hh"
 #include "common/rng.hh"
+#include "nn/adam.hh"
 #include "nn/matrix.hh"
 #include "rl/bdq_learner.hh"
 
@@ -36,13 +45,19 @@ struct Shape
     std::size_t m, n, k;
 };
 
-// The layers of the paper-sized BDQ forward pass at minibatch 64.
+// The layers of the paper-sized BDQ forward pass at minibatch 64, then
+// the fast preset's (minibatch 32, two agents, 32-wide heads) narrow
+// layers, where the n % 16 column tail is most of the work.
 const Shape kShapes[] = {
     {"trunk1", 64, 512, 11},  // state -> first trunk layer
     {"trunk2", 64, 256, 512}, // trunk hidden
     {"head", 64, 128, 256},   // agent embedding head
     {"branch", 64, 128, 128}, // branch hidden (stacked embeds)
     {"advout", 64, 18, 128},  // advantage output (18 core actions)
+    {"f_adv9", 64, 9, 32},    // fast: advantage output, 9 DVFS states
+    {"f_adv18", 64, 18, 32},  // fast: advantage output, 18 cores
+    {"f_value", 32, 1, 32},   // fast: state-value output
+    {"f_agrad", 32, 9, 64},   // fast: DVFS advantage weight gradient
 };
 
 double
@@ -128,6 +143,138 @@ benchOp(const Shape &s, const char *op, common::Rng &rng)
     return row;
 }
 
+/**
+ * Whether every GEMM entry point computes each column of an
+ * n % 16 != 0 problem bit for bit as it does when B is zero-padded to
+ * whole 16-column tiles (no tail): the padded column tail must sum the
+ * same products in the same order as a full tile.
+ */
+bool
+tailMatchesPadded(const Shape &s, common::Rng &rng)
+{
+    const std::size_t np = (s.n + 15) / 16 * 16;
+    const auto firstCols = [&](const Matrix &padded, const Matrix &got) {
+        for (std::size_t i = 0; i < got.rows(); ++i) {
+            if (std::memcmp(padded.rowPtr(i), got.rowPtr(i),
+                            got.cols() * sizeof(float)) != 0)
+                return false;
+        }
+        return true;
+    };
+    Matrix a(s.m, s.k), b(s.k, s.n), bp(s.k, np, 0.0f);
+    Matrix at(s.k, s.m), bt(s.n, s.k), btp(np, s.k, 0.0f);
+    fillRandom(a, rng);
+    fillRandom(b, rng);
+    for (std::size_t p = 0; p < s.k; ++p) {
+        for (std::size_t j = 0; j < s.n; ++j)
+            bp(p, j) = btp(j, p) = bt(j, p) = b(p, j);
+        for (std::size_t i = 0; i < s.m; ++i)
+            at(p, i) = a(i, p);
+    }
+    Matrix got, padded;
+    nn::matmul(a, b, got);
+    nn::matmul(a, bp, padded);
+    bool ok = firstCols(padded, got);
+    nn::matmulTransposeB(a, bt, got);
+    nn::matmulTransposeB(a, btp, padded);
+    ok = ok && firstCols(padded, got);
+    nn::matmulTransposeA(at, b, got);
+    nn::matmulTransposeA(at, bp, padded);
+    return ok && firstCols(padded, got);
+}
+
+/** The warmed Adam measurement. */
+struct AdamRow
+{
+    std::size_t params = 0;
+    double zeroGradPct = 0.0;    ///< gradients exactly 0, timed phase
+    double subnormalMPct = 0.0;  ///< first moments subnormal after warm-up
+    double kernelNs = 0.0;       ///< per parameter per step
+    double referenceNs = 0.0;
+    bool bitwiseEqual = false;   ///< kernel == reference over the warm-up
+    double speedup() const { return referenceNs / kernelNs; }
+};
+
+/**
+ * nn::adamStep vs the seed's scalar loop on one 16K-parameter tensor
+ * whose state has been warmed for 1000 steps. Half the parameters stop
+ * receiving gradient early in the warm-up (dead units), and 10% of the
+ * rest get an exact zero each step, so by the timed phase the dead
+ * units' first moments are subnormal -- the state a fresh learner
+ * (and the trainStep row) never reaches.
+ */
+AdamRow
+benchAdam(std::uint64_t seed)
+{
+    constexpr std::size_t kParams = 16384;
+    constexpr std::size_t kWarmSteps = 1000;
+    constexpr std::size_t kGradSets = 8;
+    common::Rng rng(seed);
+    std::vector<std::size_t> dies_at(kParams);
+    for (auto &d : dies_at)
+        d = rng.uniform() < 0.5 ? rng.uniformInt(200)
+                                : std::size_t{1} << 40;
+    const auto gradient = [&](std::size_t i, std::size_t step) {
+        if (step >= dies_at[i] || rng.uniform() < 0.1)
+            return 0.0f;
+        return static_cast<float>(rng.normal(0.0, 0.01));
+    };
+
+    std::vector<float> w(kParams), m(kParams, 0.0f), v(kParams, 0.0f);
+    for (auto &x : w)
+        x = static_cast<float>(rng.uniform(-0.1, 0.1));
+    std::vector<float> w_ref = w, m_ref = m, v_ref = v, g(kParams);
+    const nn::AdamConfig cfg;
+    AdamRow row;
+    row.params = kParams;
+    row.bitwiseEqual = true;
+    for (std::size_t t = 1; t <= kWarmSteps; ++t) {
+        for (std::size_t i = 0; i < kParams; ++i)
+            g[i] = gradient(i, t);
+        nn::adamStep(cfg, t, kParams, g.data(), w.data(), m.data(),
+                     v.data());
+        nn::reference::adamStep(cfg, t, kParams, g.data(), w_ref.data(),
+                                m_ref.data(), v_ref.data());
+        row.bitwiseEqual = row.bitwiseEqual &&
+            std::memcmp(w.data(), w_ref.data(), kParams * 4) == 0 &&
+            std::memcmp(m.data(), m_ref.data(), kParams * 4) == 0 &&
+            std::memcmp(v.data(), v_ref.data(), kParams * 4) == 0;
+    }
+    std::size_t subnormal = 0;
+    for (float x : m)
+        subnormal += std::fpclassify(x) == FP_SUBNORMAL ? 1 : 0;
+    row.subnormalMPct = 100.0 * static_cast<double>(subnormal) / kParams;
+
+    // Timed phase: cycle through a few fixed gradient sets drawn the
+    // same way (drawing inside the timed loop would dominate it).
+    std::vector<std::vector<float>> sets(kGradSets,
+                                         std::vector<float>(kParams));
+    std::size_t zeros = 0;
+    for (auto &set : sets) {
+        for (std::size_t i = 0; i < kParams; ++i) {
+            set[i] = gradient(i, kWarmSteps);
+            zeros += set[i] == 0.0f ? 1 : 0;
+        }
+    }
+    row.zeroGradPct =
+        100.0 * static_cast<double>(zeros) / (kGradSets * kParams);
+    std::size_t t = kWarmSteps, t_ref = kWarmSteps;
+    const double per_param = 1000.0 / kParams;
+    row.kernelNs = per_param * timeUs([&] {
+        ++t;
+        nn::adamStep(cfg, t, kParams, sets[t % kGradSets].data(), w.data(),
+                     m.data(), v.data());
+    });
+    row.referenceNs = per_param * timeUs([&] {
+        ++t_ref;
+        nn::reference::adamStep(cfg, t_ref, kParams,
+                                sets[t_ref % kGradSets].data(),
+                                w_ref.data(), m_ref.data(), v_ref.data());
+    });
+    g_sink = w[0] + w_ref[0];
+    return row;
+}
+
 /** Paper-sized learner (§IV) at minibatch 64, replay pre-filled. */
 double
 benchTrainStep(std::uint64_t seed)
@@ -190,6 +337,23 @@ main(int argc, char **argv)
         }
     }
 
+    bool tail_equal = true;
+    for (const auto &s : kShapes) {
+        if (s.n % 16 != 0)
+            tail_equal = tail_equal && tailMatchesPadded(s, rng);
+    }
+    std::printf("\ncolumn-tail GEMMs bit-identical to zero-padded full "
+                "tiles: %s\n",
+                tail_equal ? "yes" : "NO");
+
+    const AdamRow adam = benchAdam(args.seed);
+    std::printf("\nAdam, %zu params warmed 1000 steps (%.0f%% zero "
+                "gradients, %.0f%% of m subnormal): kernel %.2f ns/param, "
+                "seed loop %.2f ns/param, %.2fx; bit-identical: %s\n",
+                adam.params, adam.zeroGradPct, adam.subnormalMPct,
+                adam.kernelNs, adam.referenceNs, adam.speedup(),
+                adam.bitwiseEqual ? "yes" : "NO");
+
     const double train_us = benchTrainStep(args.seed);
     std::printf("\nBdqLearner::trainStep (paper net, batch 64): "
                 "%.1f us\n",
@@ -226,10 +390,21 @@ main(int argc, char **argv)
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"train_step_us\": %.3f,\n"
+                 "  ],\n  \"adam\": {\"params\": %zu, "
+                 "\"warm_steps\": 1000, \"zero_grad_pct\": %.1f, "
+                 "\"subnormal_m_pct\": %.1f, \"kernel_ns_per_param\": "
+                 "%.3f, \"reference_ns_per_param\": %.3f, "
+                 "\"speedup\": %.3f},\n"
+                 "  \"adam_bitwise_equal\": %s,\n"
+                 "  \"gemm_tail_bitwise_equal\": %s,\n"
+                 "  \"train_step_us\": %.3f,\n"
                  "  \"geomean_speedup\": %.3f,\n"
                  "  \"min_speedup\": %.3f\n}\n",
-                 train_us, geomean, min_speedup);
+                 adam.params, adam.zeroGradPct, adam.subnormalMPct,
+                 adam.kernelNs, adam.referenceNs, adam.speedup(),
+                 adam.bitwiseEqual ? "true" : "false",
+                 tail_equal ? "true" : "false", train_us, geomean,
+                 min_speedup);
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;

@@ -2,7 +2,7 @@
 # Gate the bench artifacts on their hard invariants.
 #
 # Usage: scripts/check_bench.sh [BENCH_SIM_JSON] [BENCH_CLUSTER_JSON] \
-#                               [BENCH_AUTOSCALE_JSON]
+#                               [BENCH_AUTOSCALE_JSON] [BENCH_KERNELS_JSON]
 #
 # BENCH_sim.json (fig_sim_throughput, augmented by fig_dispatch): fails
 # when any config reports checksums_match: false -- the calendar-queue
@@ -25,6 +25,12 @@
 # every row must replay bit-identically across --jobs counts. Skipped
 # with a notice when absent, like the cluster artifact.
 #
+# BENCH_kernels.json (perf_kernels): fails when adam_bitwise_equal is
+# not true -- the Adam kernel diverged from the seed's scalar loop over
+# the warmed-state run -- or gemm_tail_bitwise_equal is not true -- a
+# GEMM's n % 16 column tail summed differently from a full tile. Skipped
+# with a notice when absent, like the cluster artifact.
+#
 # These are hard invariants, so CI runs this after bench_smoke instead
 # of trusting the benches' own exit codes alone (the artifacts are also
 # what gets uploaded, so the gate checks exactly what a reader would
@@ -35,6 +41,7 @@ cd "$(dirname "$0")/.."
 bench_json=${1:-build/bench/BENCH_sim.json}
 cluster_json=${2:-build/bench/BENCH_cluster.json}
 autoscale_json=${3:-build/bench/BENCH_autoscale.json}
+kernels_json=${4:-build/bench/BENCH_kernels.json}
 
 if [[ ! -f "$bench_json" ]]; then
     echo "check_bench: $bench_json not found -- run bench_smoke first" >&2
@@ -91,11 +98,7 @@ if [[ $sim_status -ne 0 ]]; then
     exit "$sim_status"
 fi
 
-if [[ ! -f "$cluster_json" ]]; then
-    echo "check_bench: $cluster_json not found -- skipping cluster invariants"
-    exit 0
-fi
-
+if [[ -f "$cluster_json" ]]; then
 python3 - "$cluster_json" <<'EOF'
 import json
 import sys
@@ -149,12 +152,11 @@ cluster_status=$?
 if [[ $cluster_status -ne 0 ]]; then
     exit "$cluster_status"
 fi
-
-if [[ ! -f "$autoscale_json" ]]; then
-    echo "check_bench: $autoscale_json not found -- skipping autoscale invariants"
-    exit 0
+else
+    echo "check_bench: $cluster_json not found -- skipping cluster invariants"
 fi
 
+if [[ -f "$autoscale_json" ]]; then
 python3 - "$autoscale_json" <<'EOF'
 import json
 import sys
@@ -200,4 +202,43 @@ if failures:
     sys.exit(1)
 print(f"check_bench: autoscale invariants hold ({len(runs)} fleet rows, "
       f"{len(required)} acceptance checks)")
+EOF
+autoscale_status=$?
+if [[ $autoscale_status -ne 0 ]]; then
+    exit "$autoscale_status"
+fi
+else
+    echo "check_bench: $autoscale_json not found -- skipping autoscale invariants"
+fi
+
+if [[ ! -f "$kernels_json" ]]; then
+    echo "check_bench: $kernels_json not found -- skipping kernel invariants"
+    exit 0
+fi
+
+python3 - "$kernels_json" <<'EOF'
+import json
+import sys
+
+path = sys.argv[1]
+with open(path) as f:
+    root = json.load(f)
+
+failures = 0
+for key in ("adam_bitwise_equal", "gemm_tail_bitwise_equal"):
+    if root.get(key) is not True:
+        print(f"check_bench: FAIL kernels: {key} is {root.get(key)!r}",
+              file=sys.stderr)
+        failures += 1
+adam = root.get("adam", {})
+print(f"check_bench: kernels: adam {adam.get('kernel_ns_per_param')} "
+      f"ns/param ({adam.get('speedup')}x the seed loop, "
+      f"{adam.get('subnormal_m_pct')}% of m subnormal) "
+      f"adam_bitwise_equal={root.get('adam_bitwise_equal')} "
+      f"gemm_tail_bitwise_equal={root.get('gemm_tail_bitwise_equal')}")
+
+if failures:
+    print(f"check_bench: {failures} invariant violation(s)", file=sys.stderr)
+    sys.exit(1)
+print("check_bench: kernel invariants hold")
 EOF

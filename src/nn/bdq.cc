@@ -41,7 +41,7 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
     // Shared trunk (linear+ReLU fused per stage).
     const Matrix *cur = &x;
     for (auto &stage : trunk_) {
-        stage.linear.forwardRelu(*cur, stage.reluOut, stage.relu);
+        stage.linear.forwardRelu(*cur, stage.reluOut, stage.relu, train);
         stage.dropout.forward(stage.reluOut, stage.dropOut, train, rng_);
         cur = &stage.dropOut;
     }
@@ -52,8 +52,8 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
     stackedEmbeds_.resize(cfg_.numAgents * batch, hw);
     for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
         auto &agent = agents_[k];
-        agent.embed.forwardRelu(h, agent.embedAct, agent.relu);
-        agent.valueOut.forward(agent.embedAct, agent.value);
+        agent.embed.forwardRelu(h, agent.embedAct, agent.relu, train);
+        agent.valueOut.forward(agent.embedAct, agent.value, train);
         for (std::size_t i = 0; i < batch; ++i) {
             std::copy_n(agent.embedAct.rowPtr(i), hw,
                         stackedEmbeds_.rowPtr(k * batch + i));
@@ -72,9 +72,9 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
     }
     for (std::size_t d = 0; d < branches_.size(); ++d) {
         auto &br = branches_[d];
-        br.hidden.forwardRelu(stackedEmbeds_, br.hidAct, br.relu);
+        br.hidden.forwardRelu(stackedEmbeds_, br.hidAct, br.relu, train);
         br.dropout.forward(br.hidAct, br.hidDrop, train, rng_);
-        br.advOut.forward(br.hidDrop, br.adv);
+        br.advOut.forward(br.hidDrop, br.adv, train);
 
         const std::size_t n = cfg_.branchActions[d];
         for (std::size_t k = 0; k < cfg_.numAgents; ++k) {

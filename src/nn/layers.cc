@@ -26,9 +26,7 @@ readFloats(std::istream &is, float *data, std::size_t n)
 } // namespace
 
 Linear::Linear(std::size_t in, std::size_t out, common::Rng &rng)
-    : weight_(in, out), bias_(out, 0.0f), gradWeight_(in, out),
-      gradBias_(out, 0.0f), mWeight_(in, out), vWeight_(in, out),
-      mBias_(out, 0.0f), vBias_(out, 0.0f)
+    : weight_(in, out), bias_(out, 0.0f)
 {
     common::fatalIf(in == 0 || out == 0, "Linear: zero-sized layer");
     reinitialize(rng);
@@ -52,20 +50,22 @@ Linear::reinitialize(common::Rng &rng)
 }
 
 void
-Linear::forward(const Matrix &x, Matrix &y)
+Linear::forward(const Matrix &x, Matrix &y, bool train)
 {
     common::panicIf(x.cols() != weight_.rows(),
                     "Linear::forward: input width mismatch");
-    cachedInput_ = x;
+    if (train)
+        cachedInput_ = x;
     matmulBias(x, weight_, bias_, y);
 }
 
 void
-Linear::forwardRelu(const Matrix &x, Matrix &y, ReLU &relu)
+Linear::forwardRelu(const Matrix &x, Matrix &y, ReLU &relu, bool train)
 {
     common::panicIf(x.cols() != weight_.rows(),
                     "Linear::forwardRelu: input width mismatch");
-    cachedInput_ = x;
+    if (train)
+        cachedInput_ = x;
     matmulBiasRelu(x, weight_, bias_, y,
                    relu.primeMask(x.rows(), weight_.cols()));
 }
@@ -78,8 +78,23 @@ Linear::backward(const Matrix &dy, Matrix &dx)
 }
 
 void
+Linear::allocateTrainingState()
+{
+    if (gradWeight_.size() != 0)
+        return;
+    const std::size_t in = weight_.rows(), out = weight_.cols();
+    gradWeight_ = Matrix(in, out);
+    mWeight_ = Matrix(in, out);
+    vWeight_ = Matrix(in, out);
+    gradBias_.assign(out, 0.0f);
+    mBias_.assign(out, 0.0f);
+    vBias_.assign(out, 0.0f);
+}
+
+void
 Linear::backwardNoInputGrad(const Matrix &dy)
 {
+    allocateTrainingState();
     common::panicIf(dy.rows() != cachedInput_.rows(),
                     "Linear::backward: batch mismatch");
     common::panicIf(dy.cols() != weight_.cols(),
@@ -106,31 +121,11 @@ void
 Linear::adamStep(const AdamConfig &cfg, std::size_t t)
 {
     common::panicIf(t == 0, "adamStep: step counter must start at 1");
-    const float b1t = 1.0f - std::pow(cfg.beta1, static_cast<float>(t));
-    const float b2t = 1.0f - std::pow(cfg.beta2, static_cast<float>(t));
-
-    for (std::size_t i = 0; i < weight_.size(); ++i) {
-        const float g = gradWeight_.raw()[i];
-        float &m = mWeight_.raw()[i];
-        float &v = vWeight_.raw()[i];
-        m = cfg.beta1 * m + (1.0f - cfg.beta1) * g;
-        v = cfg.beta2 * v + (1.0f - cfg.beta2) * g * g;
-        const float mhat = m / b1t;
-        const float vhat = v / b2t;
-        weight_.raw()[i] -=
-            cfg.learningRate * mhat / (std::sqrt(vhat) + cfg.epsilon);
-    }
-    for (std::size_t i = 0; i < bias_.size(); ++i) {
-        const float g = gradBias_[i];
-        float &m = mBias_[i];
-        float &v = vBias_[i];
-        m = cfg.beta1 * m + (1.0f - cfg.beta1) * g;
-        v = cfg.beta2 * v + (1.0f - cfg.beta2) * g * g;
-        const float mhat = m / b1t;
-        const float vhat = v / b2t;
-        bias_[i] -=
-            cfg.learningRate * mhat / (std::sqrt(vhat) + cfg.epsilon);
-    }
+    allocateTrainingState();
+    nn::adamStep(cfg, t, weight_.size(), gradWeight_.data(),
+                 weight_.data(), mWeight_.data(), vWeight_.data());
+    nn::adamStep(cfg, t, bias_.size(), gradBias_.data(), bias_.data(),
+                 mBias_.data(), vBias_.data());
     zeroGrad();
 }
 

@@ -15,20 +15,12 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "nn/adam.hh"
 #include "nn/matrix.hh"
 
 namespace twig::nn {
 
 class ReLU;
-
-/** Hyper-parameters of the Adam optimiser (paper: lr = 0.0025). */
-struct AdamConfig
-{
-    float learningRate = 0.0025f;
-    float beta1 = 0.9f;
-    float beta2 = 0.999f;
-    float epsilon = 1e-8f;
-};
 
 /**
  * Fully-connected layer y = x W + b with gradient accumulation and an
@@ -47,17 +39,20 @@ class Linear
     std::size_t inFeatures() const { return weight_.rows(); }
     std::size_t outFeatures() const { return weight_.cols(); }
 
-    /** Forward pass (fused GEMM+bias); caches the input for backward(). */
-    void forward(const Matrix &x, Matrix &y);
+    /** Forward pass (fused GEMM+bias). With @p train it caches the
+     * input for backward(); an evaluation pass (train = false) keeps
+     * no copy. */
+    void forward(const Matrix &x, Matrix &y, bool train = true);
 
     /**
      * Fused forward through this layer and a ReLU: y = relu(x W + b)
      * in one kernel pass, without materialising the pre-activation.
      * @p relu receives the activation mask exactly as if
      * forward() + relu.forward() had run, so its backward() works
-     * unchanged.
+     * unchanged; @p train is as for forward().
      */
-    void forwardRelu(const Matrix &x, Matrix &y, ReLU &relu);
+    void forwardRelu(const Matrix &x, Matrix &y, ReLU &relu,
+                     bool train = true);
 
     /**
      * Backward pass: accumulates weight/bias gradients from @p dy and
@@ -75,8 +70,9 @@ class Linear
     /** Scale the accumulated gradients (for 1/K and 1/D rescaling). */
     void scaleGrad(float factor);
 
-    /** Apply one Adam update using the accumulated gradients, then zero
-     * them. @p t is the global step counter (for bias correction). */
+    /** Apply one Adam update (nn::adamStep) using the accumulated
+     * gradients, then zero them. @p t is the global step counter (for
+     * bias correction). */
     void adamStep(const AdamConfig &cfg, std::size_t t);
 
     /** Zero accumulated gradients without updating parameters. */
@@ -96,7 +92,8 @@ class Linear
 
     const Matrix &weight() const { return weight_; }
     const std::vector<float> &bias() const { return bias_; }
-    /** Accumulated gradients (introspection / gradient checking). */
+    /** Accumulated gradients (introspection / gradient checking);
+     * empty until the first backward() or adamStep(). */
     const Matrix &gradWeight() const { return gradWeight_; }
     const std::vector<float> &gradBias() const { return gradBias_; }
     Matrix &mutableWeight() { return weight_; }
@@ -107,6 +104,11 @@ class Linear
     void load(std::istream &is);
 
   private:
+    /** Size the gradients and Adam moments (zeroed) on first use: a
+     * layer that never trains -- every layer of a target network --
+     * never holds them. */
+    void allocateTrainingState();
+
     Matrix weight_; // [in x out]
     std::vector<float> bias_;
     Matrix gradWeight_;

@@ -31,23 +31,11 @@
 
 #include <algorithm>
 
+#include "common/kernel_clones.hh"
+
 namespace twig::nn {
 
 namespace {
-
-// ThreadSanitizer instruments the ifunc resolver target_clones
-// emits, and resolvers run during relocation — before the TSan
-// runtime's thread state exists — so any TSan build that links the
-// kernel would crash before main. Under TSan the default-ISA kernel
-// is used instead.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define TWIG_KERNEL_CLONES                                                  \
-    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3",        \
-                                 "default")))
-#else
-#define TWIG_KERNEL_CLONES
-#endif
 
 constexpr std::size_t MR = 6;  ///< register-tile rows
 constexpr std::size_t NR = 16; ///< register-tile columns
@@ -98,13 +86,74 @@ storeRow(float *__restrict crow, const float *__restrict acc,
 }
 
 /**
+ * Copy columns [j0, j0 + nr) of B (nr < NR) into a per-thread
+ * [k x NR] panel whose other columns are zero, so the column tail runs
+ * the same constant-trip tile loops as full tiles. Grows to the largest
+ * k seen by this thread, then allocates no more.
+ */
+const float *
+packColumnTail(const float *b, std::size_t ldb, std::size_t k,
+               std::size_t j0, std::size_t nr)
+{
+    thread_local std::vector<float> panel;
+    if (panel.size() < k * NR)
+        panel.resize(k * NR);
+    float *dst = panel.data();
+    for (std::size_t p = 0; p < k; ++p) {
+        const float *src = b + p * ldb + j0;
+        float *row = dst + p * NR;
+        std::size_t q = 0;
+        for (; q < nr; ++q)
+            row[q] = src[q];
+        for (; q < NR; ++q)
+            row[q] = 0.0f;
+    }
+    return dst;
+}
+
+/**
+ * acc = A[MR x k] * B[k x NR] for one register tile: A's rows start at
+ * @p ap (stride lda), B's at @p bp (stride ldb). Every trip count is a
+ * constant but k, which is what lets the auto-vectoriser keep the 6x16
+ * accumulator in vector registers across the whole K extent.
+ */
+__attribute__((always_inline)) inline void
+tileRows(const float *__restrict ap, std::size_t lda,
+         const float *__restrict bp, std::size_t ldb, std::size_t k,
+         float (&acc)[MR][NR])
+{
+    for (std::size_t p = 0; p < k; ++p) {
+        const float *__restrict brow = bp + p * ldb;
+        for (std::size_t r = 0; r < MR; ++r) {
+            const float av = ap[r * lda + p];
+            for (std::size_t q = 0; q < NR; ++q)
+                acc[r][q] += av * brow[q];
+        }
+    }
+}
+
+/** tileRows for a single row of A (the m % MR remainder). */
+__attribute__((always_inline)) inline void
+tileRow(const float *__restrict ap, const float *__restrict bp,
+        std::size_t ldb, std::size_t k, float (&acc)[NR])
+{
+    for (std::size_t p = 0; p < k; ++p) {
+        const float av = ap[p];
+        const float *__restrict brow = bp + p * ldb;
+        for (std::size_t q = 0; q < NR; ++q)
+            acc[q] += av * brow[q];
+    }
+}
+
+/**
  * The canonical kernel: C (+)= A[m x k] * B[k x n], all row-major with
  * leading dimensions lda/ldb/ldc. Every public GEMM below lands here.
  *
- * The full-tile block is kept entirely free of runtime trip counts
- * (loop bounds are the constants MR/NR, remainders live in their own
- * blocks): that is what lets the auto-vectoriser keep the 6x16
- * accumulator in vector registers across the whole K extent.
+ * Every tile, the n % NR column tail included, runs the constant-trip
+ * loops of tileRows/tileRow: the tail tiles read a zero-padded copy of
+ * B's last columns and store only the real ones. Each C element sums
+ * the same products in the same order as in a full tile, so the
+ * padding changes no bit.
  */
 TWIG_KERNEL_CLONES void
 gemmKernel(std::size_t m, std::size_t n, std::size_t k,
@@ -112,69 +161,42 @@ gemmKernel(std::size_t m, std::size_t n, std::size_t k,
            const float *__restrict b, std::size_t ldb,
            float *__restrict c, std::size_t ldc, const Epilogue ep)
 {
+    const std::size_t nFull = n - n % NR;
+    const std::size_t nr = n - nFull;
+    const float *tail =
+        nr != 0 ? packColumnTail(b, ldb, k, nFull, nr) : nullptr;
+
     std::size_t i = 0;
     // Full MR-row blocks.
     for (; i + MR <= m; i += MR) {
         const float *ap = a + i * lda;
-        std::size_t j = 0;
-        // Hot path: all trip counts constant; acc stays in registers
-        // across all of K.
-        for (; j + NR <= n; j += NR) {
+        for (std::size_t j = 0; j < nFull; j += NR) {
             float acc[MR][NR] = {};
-            const float *bp = b + j;
-            for (std::size_t p = 0; p < k; ++p) {
-                const float *__restrict brow = bp + p * ldb;
-                for (std::size_t r = 0; r < MR; ++r) {
-                    const float av = ap[r * lda + p];
-                    for (std::size_t q = 0; q < NR; ++q)
-                        acc[r][q] += av * brow[q];
-                }
-            }
+            tileRows(ap, lda, b + j, ldb, k, acc);
             for (std::size_t r = 0; r < MR; ++r)
                 storeRow(c + (i + r) * ldc + j, acc[r], j, NR, i + r,
                          ldc, ep);
         }
-        // Column remainder (n % NR) for this row block.
-        if (j < n) {
-            const std::size_t nr = n - j;
+        if (nr != 0) {
             float acc[MR][NR] = {};
-            for (std::size_t p = 0; p < k; ++p) {
-                const float *__restrict brow = b + p * ldb + j;
-                for (std::size_t r = 0; r < MR; ++r) {
-                    const float av = ap[r * lda + p];
-                    for (std::size_t q = 0; q < nr; ++q)
-                        acc[r][q] += av * brow[q];
-                }
-            }
+            tileRows(ap, lda, tail, NR, k, acc);
             for (std::size_t r = 0; r < MR; ++r)
-                storeRow(c + (i + r) * ldc + j, acc[r], j, nr, i + r,
-                         ldc, ep);
+                storeRow(c + (i + r) * ldc + nFull, acc[r], nFull, nr,
+                         i + r, ldc, ep);
         }
     }
     // Remainder rows (m % MR), one row of register tiles at a time.
     for (; i < m; ++i) {
         const float *ap = a + i * lda;
-        std::size_t j = 0;
-        for (; j + NR <= n; j += NR) {
+        for (std::size_t j = 0; j < nFull; j += NR) {
             float acc[NR] = {};
-            for (std::size_t p = 0; p < k; ++p) {
-                const float av = ap[p];
-                const float *__restrict brow = b + p * ldb + j;
-                for (std::size_t q = 0; q < NR; ++q)
-                    acc[q] += av * brow[q];
-            }
+            tileRow(ap, b + j, ldb, k, acc);
             storeRow(c + i * ldc + j, acc, j, NR, i, ldc, ep);
         }
-        if (j < n) {
-            const std::size_t nr = n - j;
+        if (nr != 0) {
             float acc[NR] = {};
-            for (std::size_t p = 0; p < k; ++p) {
-                const float av = ap[p];
-                const float *__restrict brow = b + p * ldb + j;
-                for (std::size_t q = 0; q < nr; ++q)
-                    acc[q] += av * brow[q];
-            }
-            storeRow(c + i * ldc + j, acc, j, nr, i, ldc, ep);
+            tileRow(ap, tail, NR, k, acc);
+            storeRow(c + i * ldc + nFull, acc, nFull, nr, i, ldc, ep);
         }
     }
 }

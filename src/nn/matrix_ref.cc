@@ -1,13 +1,17 @@
 /**
  * @file
- * Reference GEMM kernels: the seed's naive triple-loop implementations,
- * verbatim. They live in their own translation unit, compiled at the
- * project's default optimisation level, so that (a) the randomized
- * equivalence tests check the tiled kernels against independently
- * compiled code, and (b) bench/perf_kernels measures speedup against
- * exactly what the seed shipped.
+ * Reference kernels: the seed's naive triple-loop GEMMs and its scalar
+ * Adam loop, verbatim. They live in their own translation unit,
+ * compiled at the project's default optimisation level, so that (a)
+ * the randomized equivalence tests check the tiled GEMMs, and the
+ * bitwise tests the Adam kernel, against independently compiled code,
+ * and (b) bench/perf_kernels measures speedup against exactly what the
+ * seed shipped.
  */
 
+#include <cmath>
+
+#include "nn/adam.hh"
 #include "nn/matrix.hh"
 
 namespace twig::nn::reference {
@@ -70,6 +74,26 @@ matmulTransposeA(const Matrix &a, const Matrix &b, Matrix &out)
             for (std::size_t j = 0; j < n; ++j)
                 out_row[j] += av * b_row[j];
         }
+    }
+}
+
+void
+adamStep(const AdamConfig &cfg, std::size_t t, std::size_t n,
+         const float *grad, float *param, float *mom1, float *mom2)
+{
+    const float b1t = 1.0f - std::pow(cfg.beta1, static_cast<float>(t));
+    const float b2t = 1.0f - std::pow(cfg.beta2, static_cast<float>(t));
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const float g = grad[i];
+        float &m = mom1[i];
+        float &v = mom2[i];
+        m = cfg.beta1 * m + (1.0f - cfg.beta1) * g;
+        v = cfg.beta2 * v + (1.0f - cfg.beta2) * g * g;
+        const float mhat = m / b1t;
+        const float vhat = v / b2t;
+        param[i] -=
+            cfg.learningRate * mhat / (std::sqrt(vhat) + cfg.epsilon);
     }
 }
 

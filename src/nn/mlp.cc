@@ -28,12 +28,12 @@ Mlp::forwardImpl(const Matrix &x, Matrix &y, bool train)
     std::size_t slot = 0;
     for (std::size_t i = 0; i < cfg_.hidden.size(); ++i) {
         Matrix &relu_out = acts_[slot++];
-        linears_[i].forwardRelu(*cur, relu_out, relus_[i]);
+        linears_[i].forwardRelu(*cur, relu_out, relus_[i], train);
         Matrix &drop_out = acts_[slot++];
         dropouts_[i].forward(relu_out, drop_out, train, rng_);
         cur = &drop_out;
     }
-    linears_.back().forward(*cur, y);
+    linears_.back().forward(*cur, y, train);
 }
 
 void

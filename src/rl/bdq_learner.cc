@@ -26,13 +26,19 @@ std::vector<nn::BranchActions>
 BdqLearner::selectActions(const std::vector<float> &joint_state)
 {
     const double eps = epsilon();
-    auto actions = online_.greedyActions(joint_state);
+    // One eval forward into member scratch: the greedy argmax and the
+    // sticky comparison below both read these Q-values.
+    selectInput_.resize(1, joint_state.size());
+    std::copy(joint_state.begin(), joint_state.end(),
+              selectInput_.rowPtr(0));
+    online_.greedyActionsRows(selectInput_, selectQ_, selectGreedy_);
+    auto actions = selectGreedy_[0];
 
     // Sticky argmax: a converged policy has many near-tie Q values;
     // keep the previous choice unless a strictly better one appears.
     if (cfg_.actionStickiness > 0.0 &&
         lastGreedy_.size() == actions.size()) {
-        const auto q = online_.qValues(joint_state);
+        const nn::BdqOutput &q = selectQ_;
         for (std::size_t k = 0; k < actions.size(); ++k) {
             for (std::size_t d = 0; d < actions[k].size(); ++d) {
                 const auto prev = lastGreedy_[k][d];
@@ -71,7 +77,7 @@ BdqLearner::selectActions(const std::vector<float> &joint_state)
 }
 
 std::optional<TrainStats>
-BdqLearner::observe(Transition t)
+BdqLearner::observe(const Transition &t)
 {
     common::fatalIf(t.state.size() != cfg_.net.inputDim() ||
                         t.nextState.size() != cfg_.net.inputDim(),
@@ -79,7 +85,10 @@ BdqLearner::observe(Transition t)
     common::fatalIf(t.actions.size() != cfg_.net.numAgents ||
                         t.rewards.size() != cfg_.net.numAgents,
                     "observe: agent count mismatch");
-    replay_.add(std::move(t));
+    for (const auto &a : t.actions)
+        common::fatalIf(a.size() != cfg_.net.numBranches(),
+                        "observe: branch count mismatch");
+    replay_.add(t);
     ++step_;
 
     std::optional<TrainStats> stats;
@@ -113,10 +122,9 @@ BdqLearner::trainStep()
     states.resize(batch, in);
     next_states.resize(batch, in);
     for (std::size_t i = 0; i < batch; ++i) {
-        const Transition &t = replay_.at(sample.indices[i]);
-        std::copy(t.state.begin(), t.state.end(), states.rowPtr(i));
-        std::copy(t.nextState.begin(), t.nextState.end(),
-                  next_states.rowPtr(i));
+        const std::size_t idx = sample.indices[i];
+        std::copy_n(replay_.state(idx), in, states.rowPtr(i));
+        std::copy_n(replay_.nextState(idx), in, next_states.rowPtr(i));
     }
 
     // Double DQN: online net picks the next action, target net values it.
@@ -134,9 +142,9 @@ BdqLearner::trainStep()
         per_agent.assign(batch, 0.0);
     for (std::size_t k = 0; k < K; ++k) {
         for (std::size_t i = 0; i < batch; ++i) {
-            const Transition &t = replay_.at(sample.indices[i]);
+            const std::size_t idx = sample.indices[i];
             double bootstrap = 0.0;
-            if (!t.done) {
+            if (!replay_.done(idx)) {
                 for (std::size_t d = 0; d < D; ++d) {
                     const nn::Matrix &qo = next_online.q[k][d];
                     std::size_t best = 0;
@@ -148,9 +156,9 @@ BdqLearner::trainStep()
                 }
                 bootstrap /= static_cast<double>(D);
             }
-            const double r = std::clamp(
-                cfg_.rewardScale * t.rewards[k], cfg_.rewardClipMin,
-                cfg_.rewardClipMax);
+            const double r =
+                std::clamp(cfg_.rewardScale * replay_.reward(idx, k),
+                           cfg_.rewardClipMin, cfg_.rewardClipMax);
             targets[k][i] = r + cfg_.discount * bootstrap;
         }
     }
@@ -177,11 +185,11 @@ BdqLearner::trainStep()
             dq[k][d].fill(0.0f);
         }
         for (std::size_t i = 0; i < batch; ++i) {
-            const Transition &t = replay_.at(sample.indices[i]);
+            const std::size_t idx = sample.indices[i];
             const double w = sample.weights[i];
             double agent_td = 0.0;
             for (std::size_t d = 0; d < D; ++d) {
-                const std::size_t a = t.actions[k][d];
+                const std::size_t a = replay_.action(idx, k, d);
                 const double q = out.q[k][d](i, a);
                 const double td = q - targets[k][i];
                 agent_td += std::abs(td);

@@ -130,7 +130,7 @@ class BdqLearner
      *
      * @return stats of the gradient step, if one ran
      */
-    std::optional<TrainStats> observe(Transition t);
+    std::optional<TrainStats> observe(const Transition &t);
 
     /** Force one gradient step (used by tests/benches). */
     TrainStats trainStep();
@@ -176,6 +176,11 @@ class BdqLearner
     std::vector<nn::BranchActions> heldAction_;
     /** Previous greedy choice (sticky argmax). */
     std::vector<nn::BranchActions> lastGreedy_;
+    /** selectActions() scratch: the state as a 1-row batch, its
+     * Q-values and greedy actions. */
+    nn::Matrix selectInput_;
+    nn::BdqOutput selectQ_;
+    std::vector<std::vector<nn::BranchActions>> selectGreedy_;
 
     // trainStep() scratch, sized on the first gradient step and then
     // reused: the steady-state training step performs zero heap

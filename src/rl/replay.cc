@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hh"
 
@@ -13,7 +14,9 @@ SumTree::SumTree(std::size_t capacity) : capacity_(capacity)
     leafBase_ = 1;
     while (leafBase_ < capacity)
         leafBase_ <<= 1;
-    nodes_.assign(2 * leafBase_, 0.0);
+    nodes_.reset(
+        static_cast<double *>(std::calloc(2 * leafBase_, sizeof(double))));
+    common::fatalIf(!nodes_, "SumTree: out of memory");
 }
 
 void
@@ -66,17 +69,71 @@ PrioritizedReplay::PrioritizedReplay(const ReplayConfig &cfg)
     : cfg_(cfg), tree_(cfg.capacity)
 {
     common::fatalIf(cfg.alpha < 0.0, "replay: alpha must be >= 0");
-    buffer_.reserve(std::min<std::size_t>(cfg.capacity, 65536));
+    common::fatalIf(cfg.capacity > (std::size_t{1} << 30),
+                    "replay: capacity above 2^30 transitions");
+}
+
+std::uint32_t
+PrioritizedReplay::storeRow(const std::vector<float> &x)
+{
+    const std::uint32_t row = nextRow_;
+    nextRow_ = static_cast<std::uint32_t>((row + 1) % (2 * cfg_.capacity + 2));
+    if (rows_.size() < (row + 1) * stateDim_)
+        rows_.resize((row + 1) * stateDim_);
+    std::copy(x.begin(), x.end(), rows_.begin() + row * stateDim_);
+    return row;
 }
 
 void
-PrioritizedReplay::add(Transition t)
+PrioritizedReplay::add(const Transition &t)
 {
-    if (buffer_.size() < cfg_.capacity && next_ == buffer_.size()) {
-        buffer_.push_back(std::move(t));
-    } else {
-        buffer_[next_] = std::move(t);
+    if (size_ == 0) {
+        // The first transition fixes the shape; reserve address space
+        // for the buffer (pages are only touched as it fills).
+        stateDim_ = t.state.size();
+        agents_ = t.actions.size();
+        branches_ = t.actions.empty() ? 0 : t.actions[0].size();
+        const std::size_t n = std::min<std::size_t>(cfg_.capacity, 65536);
+        rows_.reserve((n + 1) * stateDim_);
+        stateRow_.reserve(n);
+        nextStateRow_.reserve(n);
+        actions_.reserve(n * agents_ * branches_);
+        rewards_.reserve(n * agents_);
+        done_.reserve(n);
     }
+    bool shaped = t.state.size() == stateDim_ &&
+        t.nextState.size() == stateDim_ && t.actions.size() == agents_ &&
+        t.rewards.size() == agents_;
+    for (const auto &a : t.actions) {
+        shaped = shaped && a.size() == branches_;
+        for (const std::size_t i : a)
+            common::fatalIf(i > UINT32_MAX, "replay: action index too large");
+    }
+    common::fatalIf(!shaped,
+                    "replay: transition shape differs from the first one");
+
+    if (next_ == size_) { // still filling: grow by one slot
+        stateRow_.push_back(0);
+        nextStateRow_.push_back(0);
+        actions_.resize(actions_.size() + agents_ * branches_);
+        rewards_.resize(rewards_.size() + agents_);
+        done_.push_back(0);
+    }
+    // The previous transition's next state is the newest row.
+    const std::size_t last = size_ == 0 ? 0 : nextStateRow_[
+        (next_ + cfg_.capacity - 1) % cfg_.capacity];
+    const bool reuse = size_ != 0 &&
+        std::memcmp(t.state.data(), rows_.data() + last * stateDim_,
+                    stateDim_ * sizeof(float)) == 0;
+    stateRow_[next_] = reuse ? last : storeRow(t.state);
+    nextStateRow_[next_] = storeRow(t.nextState);
+    for (std::size_t k = 0; k < agents_; ++k)
+        std::copy(t.actions[k].begin(), t.actions[k].end(),
+                  actions_.begin() + (next_ * agents_ + k) * branches_);
+    std::copy(t.rewards.begin(), t.rewards.end(),
+              rewards_.begin() + next_ * agents_);
+    done_[next_] = t.done ? 1 : 0;
+
     tree_.set(next_, std::pow(maxPriority_, cfg_.alpha));
     next_ = (next_ + 1) % cfg_.capacity;
     size_ = std::min(size_ + 1, cfg_.capacity);

@@ -9,6 +9,9 @@
 #define TWIG_RL_REPLAY_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -58,9 +61,16 @@ class SumTree
     std::size_t find(double mass) const;
 
   private:
+    struct Free
+    {
+        void operator()(double *p) const { std::free(p); }
+    };
+
     std::size_t capacity_;
     std::size_t leafBase_;
-    std::vector<double> nodes_;
+    // calloc'd: a large tree comes from untouched zero pages, so only
+    // the paths of filled leaves ever become resident.
+    std::unique_ptr<double[], Free> nodes_;
 };
 
 /** Configuration of the prioritised replay buffer. */
@@ -80,14 +90,26 @@ struct ReplaySample
 
 /**
  * Proportional prioritised experience replay over a circular buffer.
+ *
+ * Transitions are stored flat, one array per field, every transition
+ * shaped like the first one added: a stored transition costs its
+ * payload and no heap blocks of its own (a Transition of the fast
+ * preset is 7 of them, more than doubling its size). States live in a
+ * ring of rows that transitions index, and a state equal to the
+ * previous transition's next state -- every transition of a continuing
+ * task -- reuses that row, so each joint state is stored once. Read
+ * stored transitions back through state() .. done().
  */
 class PrioritizedReplay
 {
   public:
     explicit PrioritizedReplay(const ReplayConfig &cfg);
 
-    /** Add a transition with max-seen priority (so it is replayed soon). */
-    void add(Transition t);
+    /** Add a transition with max-seen priority (so it is replayed
+     * soon). Fatal if its shape (state width, agents, branches per
+     * agent, rewards) differs from the first transition's, or if an
+     * action index does not fit 32 bits. */
+    void add(const Transition &t);
 
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return cfg_.capacity; }
@@ -110,12 +132,46 @@ class PrioritizedReplay
     void updatePriorities(const std::vector<std::size_t> &indices,
                           const std::vector<double> &td_errors);
 
-    const Transition &at(std::size_t idx) const { return buffer_[idx]; }
+    /** Stored transition @p idx: its joint state and next state
+     * (stateDim() floats each), agent k's action on branch d, agent k's
+     * reward and its terminal flag. */
+    const float *state(std::size_t idx) const
+    {
+        return rows_.data() + stateRow_[idx] * stateDim_;
+    }
+    const float *nextState(std::size_t idx) const
+    {
+        return rows_.data() + nextStateRow_[idx] * stateDim_;
+    }
+    std::size_t action(std::size_t idx, std::size_t k, std::size_t d) const
+    {
+        return actions_[(idx * agents_ + k) * branches_ + d];
+    }
+    double reward(std::size_t idx, std::size_t k) const
+    {
+        return rewards_[idx * agents_ + k];
+    }
+    bool done(std::size_t idx) const { return done_[idx] != 0; }
+    std::size_t stateDim() const { return stateDim_; }
 
   private:
+    /** Copy @p x into the next row of the ring; returns its index. */
+    std::uint32_t storeRow(const std::vector<float> &x);
+
     ReplayConfig cfg_;
-    std::vector<Transition> buffer_;
     SumTree tree_;
+    // Shape of every stored transition, fixed by the first add().
+    std::size_t stateDim_ = 0, agents_ = 0, branches_ = 0;
+    // The state ring: rows are handed out in order and wrap after
+    // 2 * capacity + 2 of them -- all the rows the live transitions
+    // can reference (two each, allocated over the newest capacity + 1
+    // adds) -- so a live row is never overwritten.
+    std::vector<float> rows_;
+    std::uint32_t nextRow_ = 0;
+    std::vector<std::uint32_t> stateRow_, nextStateRow_;
+    std::vector<std::uint32_t> actions_;
+    std::vector<double> rewards_;
+    std::vector<unsigned char> done_;
     std::size_t next_ = 0;
     std::size_t size_ = 0;
     double maxPriority_ = 1.0;

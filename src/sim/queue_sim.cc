@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.hh"
+#include "common/kernel_clones.hh"
 #include "common/sim_counters.hh"
 #include "stats/summary.hh"
 
@@ -19,20 +20,6 @@ using common::simprof::ScopedPhaseTimer;
  * runOptimized); the last chunk's unconsumed draws are rolled back. */
 constexpr std::size_t kDrawChunk = 64;
 
-// ThreadSanitizer instruments the ifunc resolver target_clones
-// emits, and resolvers run during relocation — before the TSan
-// runtime's thread state exists — so any TSan build that links this
-// file would crash before main. Under TSan the default-ISA scan is
-// used instead. (Same constraint as nn/matrix.cc.)
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define TWIG_SIM_CLONES                                                     \
-    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3",        \
-                                 "default")))
-#else
-#define TWIG_SIM_CLONES
-#endif
-
 /**
  * Minimum of @p n doubles, n a positive multiple of 8 (lanes are
  * padded with +inf to their stride). Four independent accumulator
@@ -41,7 +28,7 @@ constexpr std::size_t kDrawChunk = 64;
  * exact and order-independent, so any association gives the identical
  * result.
  */
-TWIG_SIM_CLONES double
+TWIG_KERNEL_CLONES double
 laneMin(const double *v, std::uint32_t n)
 {
     double m0 = v[0];

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "nn/matrix.hh"
@@ -27,6 +31,46 @@ expectNear(const Matrix &got, const Matrix &want, double tol)
     for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_NEAR(got.raw()[i], want.raw()[i], tol)
             << "element " << i;
+}
+
+/**
+ * out[i][j] = a[i][0] b[0][j] + ... + a[i][k-1] b[k-1][j], summed in
+ * that order from +0 -- the order the tiled kernel accumulates in --
+ * with each multiply-add rounded once (@p fused, as the FMA clones of
+ * the kernel do) or twice.
+ */
+Matrix
+sequentialProduct(const Matrix &a, const Matrix &b, bool fused)
+{
+    Matrix out(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            float acc = 0.0f;
+            for (std::size_t p = 0; p < a.cols(); ++p) {
+                acc = fused ? std::fma(a(i, p), b(p, j), acc)
+                            : acc + a(i, p) * b(p, j);
+            }
+            out(i, j) = acc;
+        }
+    }
+    return out;
+}
+
+Matrix
+transposed(const Matrix &x)
+{
+    Matrix t(x.cols(), x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        for (std::size_t c = 0; c < x.cols(); ++c)
+            t(c, r) = x(r, c);
+    return t;
+}
+
+bool
+bitEqual(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
 } // namespace
@@ -238,6 +282,61 @@ TEST_P(TiledKernelEquivalence, SparseAMatchesReferenceOnOneHotRows)
     expectNear(got, want, 1e-4);
 }
 
+TEST_P(TiledKernelEquivalence, BitwiseMatchesSequentialSum)
+{
+    // Every GEMM entry point must produce exactly the sequential sum,
+    // bit for bit, in the column tail (n % 16) as in full tiles: all
+    // multiply-adds fused, or none.
+    const auto [m, k, n] = GetParam();
+    twig::common::Rng rng(m * 7919 + k * 104729 + n * 15485863);
+    const Matrix a = randomMatrix(m, k, rng);
+    const Matrix b = randomMatrix(k, n, rng);
+    const Matrix prior = randomMatrix(m, n, rng);
+    std::vector<float> bias(n);
+    for (auto &v : bias)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+
+    Matrix prod, prodBias, prodRelu, prodTB, accum = prior;
+    std::vector<unsigned char> mask;
+    matmul(a, b, prod);
+    matmulBias(a, b, bias, prodBias);
+    matmulBiasRelu(a, b, bias, prodRelu, mask);
+    matmulTransposeB(a, transposed(b), prodTB);
+    matmulTransposeAAccum(transposed(a), b, accum);
+
+    const auto mismatches = [&](bool fused) {
+        const Matrix sum = sequentialProduct(a, b, fused);
+        Matrix withBias = sum, relu = sum, accumulated = sum;
+        std::vector<unsigned char> wantMask(sum.size());
+        for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                const float v = sum(i, j) + bias[j];
+                withBias(i, j) = v;
+                relu(i, j) = v > 0.0f ? v : 0.0f;
+                wantMask[i * n + j] = v > 0.0f ? 1 : 0;
+                accumulated(i, j) = prior(i, j) + sum(i, j);
+            }
+        }
+        std::string bad;
+        if (!bitEqual(prod, sum))
+            bad += " matmul";
+        if (!bitEqual(prodBias, withBias))
+            bad += " matmulBias";
+        if (!bitEqual(prodRelu, relu) || mask != wantMask)
+            bad += " matmulBiasRelu";
+        if (!bitEqual(prodTB, sum))
+            bad += " matmulTransposeB";
+        if (!bitEqual(accum, accumulated))
+            bad += " matmulTransposeAAccum";
+        return bad;
+    };
+    const std::string unfused = mismatches(false);
+    const std::string fused = mismatches(true);
+    EXPECT_TRUE(unfused.empty() || fused.empty())
+        << "differ from the unfused sum:" << unfused
+        << "; from the fused sum:" << fused;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TiledKernelEquivalence,
     ::testing::Values(Shape{1, 1, 1},        // degenerate
@@ -249,7 +348,14 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{129, 2, 3},      // tall-skinny
                       Shape{3, 2, 130},      // short-wide
                       Shape{64, 512, 256},   // BDQ trunk shape
-                      Shape{37, 61, 43}),    // odd everything
+                      Shape{37, 61, 43},     // odd everything
+                      // Column tails (n % 16 != 0) under row counts
+                      // that leave a 1-row remainder block too.
+                      Shape{7, 5, 1},
+                      Shape{13, 16, 2},
+                      Shape{64, 32, 9},      // fast-preset advantage out
+                      Shape{64, 32, 18},
+                      Shape{37, 12, 33}),
     [](const ::testing::TestParamInfo<Shape> &info) {
         return std::to_string(info.param.m) + "x" +
             std::to_string(info.param.k) + "x" +

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "common/error.hh"
@@ -86,8 +87,8 @@ TEST(Replay, AddAndSize)
     buf.add(makeTransition(1));
     buf.add(makeTransition(2));
     EXPECT_EQ(buf.size(), 2u);
-    EXPECT_FLOAT_EQ(buf.at(0).state[0], 1.0f);
-    EXPECT_FLOAT_EQ(buf.at(1).state[0], 2.0f);
+    EXPECT_FLOAT_EQ(buf.state(0)[0], 1.0f);
+    EXPECT_FLOAT_EQ(buf.state(1)[0], 2.0f);
 }
 
 TEST(Replay, CircularOverwrite)
@@ -99,9 +100,75 @@ TEST(Replay, CircularOverwrite)
         buf.add(makeTransition(static_cast<float>(i)));
     EXPECT_EQ(buf.size(), 3u);
     // Slots 0 and 1 hold the newest items (3, 4); slot 2 holds 2.
-    EXPECT_FLOAT_EQ(buf.at(0).state[0], 3.0f);
-    EXPECT_FLOAT_EQ(buf.at(1).state[0], 4.0f);
-    EXPECT_FLOAT_EQ(buf.at(2).state[0], 2.0f);
+    EXPECT_FLOAT_EQ(buf.state(0)[0], 3.0f);
+    EXPECT_FLOAT_EQ(buf.state(1)[0], 4.0f);
+    EXPECT_FLOAT_EQ(buf.state(2)[0], 2.0f);
+}
+
+TEST(Replay, StoresEveryFieldExactlyAcrossWrapAround)
+{
+    // A continuing task chains each state to the previous next state
+    // (stored once); every fifth transition breaks the chain, and one
+    // differs from the previous next state only in the sign of a zero,
+    // which must not be taken for the same state.
+    ReplayConfig cfg;
+    cfg.capacity = 5;
+    PrioritizedReplay buf(cfg);
+    std::vector<Transition> added;
+    std::vector<float> prev = {0.5f, -0.0f, 2.0f};
+    for (int i = 0; i < 23; ++i) {
+        Transition t;
+        t.state = prev;
+        if (i % 5 == 4)
+            t.state[0] += 100.0f;
+        if (i == 7)
+            t.state[1] = 0.0f;
+        t.nextState = {static_cast<float>(i), -0.0f,
+                       static_cast<float>(i) * 0.25f};
+        t.actions = {{static_cast<std::size_t>(i % 3), 1},
+                     {2, static_cast<std::size_t>(i % 4)}};
+        t.rewards = {static_cast<double>(i), -static_cast<double>(i)};
+        t.done = i % 6 == 0;
+        buf.add(t);
+        added.push_back(t);
+        prev = t.nextState;
+
+        ASSERT_EQ(buf.size(), std::min<std::size_t>(added.size(), 5));
+        ASSERT_EQ(buf.stateDim(), 3u);
+        for (std::size_t slot = 0; slot < buf.size(); ++slot) {
+            // The newest transition added to this slot.
+            std::size_t j = added.size() - 1;
+            while (j % 5 != slot)
+                --j;
+            const Transition &want = added[j];
+            EXPECT_EQ(std::memcmp(buf.state(slot), want.state.data(),
+                                  3 * sizeof(float)),
+                      0)
+                << "after " << i << ", slot " << slot;
+            EXPECT_EQ(std::memcmp(buf.nextState(slot),
+                                  want.nextState.data(), 3 * sizeof(float)),
+                      0)
+                << "after " << i << ", slot " << slot;
+            for (std::size_t k = 0; k < 2; ++k) {
+                for (std::size_t d = 0; d < 2; ++d)
+                    EXPECT_EQ(buf.action(slot, k, d), want.actions[k][d]);
+                EXPECT_EQ(buf.reward(slot, k), want.rewards[k]);
+            }
+            EXPECT_EQ(buf.done(slot), want.done);
+        }
+    }
+}
+
+TEST(Replay, RejectsTransitionsOfAnotherShape)
+{
+    PrioritizedReplay buf(ReplayConfig{});
+    buf.add(makeTransition(1));
+    Transition wider = makeTransition(2);
+    wider.state.push_back(0.0f);
+    EXPECT_THROW(buf.add(wider), twig::common::FatalError);
+    Transition more_branches = makeTransition(3);
+    more_branches.actions[0].push_back(0);
+    EXPECT_THROW(buf.add(more_branches), twig::common::FatalError);
 }
 
 TEST(Replay, SampleReturnsValidIndicesAndWeights)
