@@ -2,8 +2,8 @@
  * @file
  * Fig. 7 reproduction: learning-time complexity — QoS guarantee over
  * time for Masstree under Twig-S and Hipster. Each curve is one
- * ScenarioSpec run through the scenario engine with a bucketing
- * RecordSink observing every step.
+ * ScenarioSpec run through the scenario engine, bucketed from the
+ * run's recorded per-step trace.
  *
  * Paper setup: Twig's epsilon anneals to 0.1 by 5000 s and Hipster's
  * learning phase ends at 5000 s; each point averages 500 s. Expected
@@ -26,36 +26,26 @@ using namespace twig;
 
 namespace {
 
-/** Buckets the per-step QoS outcome into guarantee percentages. */
-class CurveSink : public harness::RecordSink
+/** Guarantee percentage of each consecutive @p bucket steps of the
+ * watched service's recorded trace. */
+std::vector<double>
+qosCurve(const harness::RunResult &run, double target_ms,
+         std::size_t bucket)
 {
-  public:
-    CurveSink(double target_ms, std::size_t bucket)
-        : target_(target_ms), bucket_(bucket)
-    {
-    }
-
-    void
-    record(const harness::StepRecord &rec) override
-    {
-        met_ += rec.p99Ms[0] <= target_ ? 1 : 0;
-        if (++n_ == bucket_) {
-            curve_.push_back(100.0 * static_cast<double>(met_) /
-                             static_cast<double>(n_));
-            met_ = 0;
-            n_ = 0;
+    std::vector<double> curve;
+    std::size_t met = 0;
+    std::size_t n = 0;
+    for (const auto &r : run.trace) {
+        met += r.p99Ms[0] <= target_ms ? 1 : 0;
+        if (++n == bucket) {
+            curve.push_back(100.0 * static_cast<double>(met) /
+                            static_cast<double>(n));
+            met = 0;
+            n = 0;
         }
     }
-
-    const std::vector<double> &curve() const { return curve_; }
-
-  private:
-    double target_;
-    std::size_t bucket_;
-    std::vector<double> curve_;
-    std::size_t met_ = 0;
-    std::size_t n_ = 0;
-};
+    return curve;
+}
 
 } // namespace
 
@@ -95,11 +85,10 @@ main(int argc, char **argv)
             spec.horizon = steps / 2; // epsilon ~0.1 by mid-run
             spec.seed = args.seed;
 
-            CurveSink sink(profile.qosTargetMs, bucket);
             harness::EngineOptions opts;
-            opts.sinks.push_back(&sink);
-            harness::Engine(opts).run(spec);
-            return sink.curve();
+            opts.recordTrace = true;
+            return qosCurve(harness::Engine(opts).run(spec).single,
+                            profile.qosTargetMs, bucket);
         });
     const auto &twig_curve = curves[0];
     const auto &hip_curve = curves[1];

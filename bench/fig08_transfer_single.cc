@@ -31,48 +31,30 @@ struct Curve
     std::vector<double> tardiness;
 };
 
-/** Buckets per-step QoS / tardiness of the watched service. */
-class CurveSink : public harness::RecordSink
-{
-  public:
-    CurveSink(double target_ms, std::size_t bucket)
-        : target_(target_ms), bucket_(bucket)
-    {
-    }
-
-    void
-    record(const harness::StepRecord &rec) override
-    {
-        met_ += rec.p99Ms[0] <= target_ ? 1 : 0;
-        tard_ += rec.p99Ms[0] / target_;
-        if (++n_ == bucket_) {
-            curve_.qosPct.push_back(100.0 * met_ / n_);
-            curve_.tardiness.push_back(tard_ / n_);
-            met_ = n_ = 0;
-            tard_ = 0.0;
-        }
-    }
-
-    const Curve &curve() const { return curve_; }
-
-  private:
-    double target_;
-    std::size_t bucket_;
-    Curve curve_;
-    std::size_t met_ = 0;
-    std::size_t n_ = 0;
-    double tard_ = 0.0;
-};
-
+/** Per-bucket QoS guarantee / mean tardiness of the watched service
+ * over the run's recorded trace. */
 Curve
 runSpec(const harness::ScenarioSpec &spec, double target_ms,
         std::size_t bucket)
 {
-    CurveSink sink(target_ms, bucket);
     harness::EngineOptions opts;
-    opts.sinks.push_back(&sink);
-    harness::Engine(opts).run(spec);
-    return sink.curve();
+    opts.recordTrace = true;
+    const auto result = harness::Engine(opts).run(spec);
+    Curve curve;
+    std::size_t met = 0;
+    std::size_t n = 0;
+    double tard = 0.0;
+    for (const auto &r : result.single.trace) {
+        met += r.p99Ms[0] <= target_ms ? 1 : 0;
+        tard += r.p99Ms[0] / target_ms;
+        if (++n == bucket) {
+            curve.qosPct.push_back(100.0 * met / n);
+            curve.tardiness.push_back(tard / n);
+            met = n = 0;
+            tard = 0.0;
+        }
+    }
+    return curve;
 }
 
 std::size_t

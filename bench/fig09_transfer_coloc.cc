@@ -30,43 +30,6 @@ struct Curve
     std::vector<double> powerW;
 };
 
-/** Buckets per-step QoS of both services and socket power. */
-class PairSink : public harness::RecordSink
-{
-  public:
-    PairSink(double target0_ms, double target1_ms, std::size_t bucket)
-        : target0_(target0_ms), target1_(target1_ms), bucket_(bucket)
-    {
-    }
-
-    void
-    record(const harness::StepRecord &rec) override
-    {
-        met0_ += rec.p99Ms[0] <= target0_ ? 1 : 0;
-        met1_ += rec.p99Ms[1] <= target1_ ? 1 : 0;
-        power_ += rec.powerW;
-        if (++n_ == bucket_) {
-            curve_.qosXapian.push_back(100.0 * met0_ / n_);
-            curve_.qosMasstree.push_back(100.0 * met1_ / n_);
-            curve_.powerW.push_back(power_ / n_);
-            met0_ = met1_ = n_ = 0;
-            power_ = 0.0;
-        }
-    }
-
-    const Curve &curve() const { return curve_; }
-
-  private:
-    double target0_;
-    double target1_;
-    std::size_t bucket_;
-    Curve curve_;
-    std::size_t met0_ = 0;
-    std::size_t met1_ = 0;
-    std::size_t n_ = 0;
-    double power_ = 0.0;
-};
-
 harness::ServiceLoadSpec
 fixedLoad(const std::string &service, double fraction)
 {
@@ -76,15 +39,34 @@ fixedLoad(const std::string &service, double fraction)
     return svc;
 }
 
+/** Per-bucket QoS guarantee of both services and mean socket power
+ * over the run's recorded trace. */
 Curve
 runSpec(const harness::ScenarioSpec &spec, std::size_t bucket)
 {
-    PairSink sink(services::xapian().qosTargetMs,
-                  services::masstree().qosTargetMs, bucket);
+    const double target0 = services::xapian().qosTargetMs;
+    const double target1 = services::masstree().qosTargetMs;
     harness::EngineOptions opts;
-    opts.sinks.push_back(&sink);
-    harness::Engine(opts).run(spec);
-    return sink.curve();
+    opts.recordTrace = true;
+    const auto result = harness::Engine(opts).run(spec);
+    Curve curve;
+    std::size_t met0 = 0;
+    std::size_t met1 = 0;
+    std::size_t n = 0;
+    double power = 0.0;
+    for (const auto &r : result.single.trace) {
+        met0 += r.p99Ms[0] <= target0 ? 1 : 0;
+        met1 += r.p99Ms[1] <= target1 ? 1 : 0;
+        power += r.socketPowerW;
+        if (++n == bucket) {
+            curve.qosXapian.push_back(100.0 * met0 / n);
+            curve.qosMasstree.push_back(100.0 * met1 / n);
+            curve.powerW.push_back(power / n);
+            met0 = met1 = n = 0;
+            power = 0.0;
+        }
+    }
+    return curve;
 }
 
 } // namespace

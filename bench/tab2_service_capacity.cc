@@ -9,7 +9,7 @@
  * is the knee; the QoS target is the p99 just below the knee (plus a
  * small margin). Each measurement point is a ScenarioSpec (absolute
  * max_rps, static manager = all cores at max DVFS) run through the
- * scenario engine with a median-p99 sink.
+ * scenario engine, reduced to the median of its recorded p99 trace.
  */
 
 #include <cstdio>
@@ -25,25 +25,8 @@ using namespace twig;
 
 namespace {
 
-/** Median interval p99, skipping the first two warmup intervals. */
-class MedianP99Sink : public harness::RecordSink
-{
-  public:
-    void
-    record(const harness::StepRecord &rec) override
-    {
-        if (n_++ >= 2) // warmup
-            p99s_.add(rec.p99Ms[0]);
-    }
-
-    double median() { return p99s_.percentile(50.0); }
-
-  private:
-    stats::PercentileEstimator p99s_;
-    std::size_t n_ = 0;
-};
-
-/** p99 at a fixed load, all cores, max DVFS. */
+/** Median interval p99 at a fixed load, all cores, max DVFS,
+ * skipping the first two warmup intervals. */
 double
 measureP99(const sim::ServiceProfile &profile, double rps,
            std::uint64_t seed, std::size_t intervals)
@@ -60,11 +43,13 @@ measureP99(const sim::ServiceProfile &profile, double rps,
     spec.window = intervals;
     spec.seed = seed;
 
-    MedianP99Sink sink;
     harness::EngineOptions opts;
-    opts.sinks.push_back(&sink);
-    harness::Engine(opts).run(spec);
-    return sink.median();
+    opts.recordTrace = true;
+    const auto result = harness::Engine(opts).run(spec);
+    stats::PercentileEstimator p99s;
+    for (std::size_t i = 2; i < result.single.trace.size(); ++i)
+        p99s.add(result.single.trace[i].p99Ms[0]);
+    return p99s.percentile(50.0);
 }
 
 } // namespace

@@ -5,11 +5,15 @@
 #
 # Each scenarios/*.json is run through twig --scenario (the file names
 # its topology), overriding the file's schedule with a small --steps so
-# the whole sweep finishes in seconds. A run fails the smoke if it
-# exits non-zero or if its output carries no metrics (no QoS line).
-# Fault scenarios (faults_*.json) additionally must report a
-# fault-event summary, proving the schedule actually fired within the
-# reduced step budget. Finally, every kind of bad input must be
+# the whole sweep finishes in seconds, and writing its --trace into a
+# temp dir. A run fails the smoke if it exits non-zero, if its output
+# carries no metrics (no QoS line), or if its trace is not valid JSON
+# lines: a `run` header first, one `interval` line per step. Fault
+# scenarios (faults_*.json) additionally must report a fault-event
+# summary and carry `fault` lines, autoscale scenarios `scale` lines,
+# proving the schedule actually fired within the reduced step budget.
+# The --profile-max-share budget must exit 3 when blown and 0 when
+# --sim-profile runs alone. Finally, every kind of bad input must be
 # rejected with exit status exactly 2 and a message (never a crash).
 set -u
 
@@ -23,10 +27,30 @@ if [[ ! -x "$sim" ]]; then
     exit 1
 fi
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# check_trace FILE STEPS KIND: every line parses, line 1 is the `run`
+# header, STEPS `interval` lines, and (when KIND is set) >= 1 KIND line.
+check_trace() {
+    python3 - "$@" <<'PY'
+import json, sys
+path, steps, want = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+with open(path) as f:
+    lines = [json.loads(line) for line in f]
+kinds = [line["kind"] for line in lines]
+assert kinds and kinds[0] == "run" and lines[0]["schema"] == 1, "no run header"
+assert kinds.count("interval") == steps, f"{kinds.count('interval')} interval lines"
+assert not want or want in kinds, f"no {want} line"
+PY
+}
+
 failures=0
 for scenario in scenarios/*.json; do
     printf '== %s (steps=%s)\n' "$scenario" "$steps"
-    if ! out=$("$sim" --scenario "$scenario" --steps "$steps" 2>&1); then
+    trace="$tmp/$(basename "$scenario" .json).jsonl"
+    if ! out=$("$sim" --scenario "$scenario" --steps "$steps" \
+        --trace "$trace" 2>&1); then
         printf '%s\n' "$out"
         echo "scenario_smoke: FAIL $scenario (non-zero exit)" >&2
         failures=$((failures + 1))
@@ -35,6 +59,16 @@ for scenario in scenarios/*.json; do
     printf '%s\n' "$out"
     if ! grep -q "QoS" <<<"$out"; then
         echo "scenario_smoke: FAIL $scenario (no metrics in output)" >&2
+        failures=$((failures + 1))
+        continue
+    fi
+    want=
+    case "$scenario" in
+    scenarios/faults_*.json) want=fault ;;
+    scenarios/autoscale_*.json) want=scale ;;
+    esac
+    if ! check_trace "$trace" "$steps" "$want"; then
+        echo "scenario_smoke: FAIL $scenario (bad trace)" >&2
         failures=$((failures + 1))
         continue
     fi
@@ -60,9 +94,27 @@ for scenario in scenarios/*.json; do
     esac
 done
 
+# expect_status WANT ARGS...: twig ARGS must exit exactly WANT.
+expect_status() {
+    local want=$1
+    shift
+    "$sim" "$@" >/dev/null 2>&1
+    local status=$?
+    if [[ $status -ne $want ]]; then
+        echo "scenario_smoke: FAIL '$*' exited $status (want $want)" >&2
+        failures=$((failures + 1))
+    fi
+}
+
+# Phase budget: six simulator phases cannot all sit at or below 10%.
+single=scenarios/fig05.json
+expect_status 3 --scenario "$single" --steps "$steps" --sim-profile \
+    --profile-max-share 10
+expect_status 0 --scenario "$single" --steps "$steps" --sim-profile
+echo "== --sim-profile budget exit status"
+
 # Bad input: each line is one invocation that must be rejected.
 missing=/nonexistent/twig-smoke
-single=scenarios/fig05.json
 while read -r -a args; do
     out=$("$sim" "${args[@]}" 2>&1)
     status=$?
@@ -91,6 +143,9 @@ done <<BAD
 --scenario $single --domains 2
 --scenario $single --autoscale 2:6
 --service masstree --policy wrr
+--scenario $single --steps $steps --fault-trace x
+--scenario $single --steps $steps --trace /dev/full
+--scenario $single --steps $steps --trace $missing/run.jsonl
 BAD
 echo "== bad input rejected with exit 2"
 

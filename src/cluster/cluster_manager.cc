@@ -937,10 +937,7 @@ ClusterManager::step()
 }
 
 FleetRunResult
-ClusterManager::run(
-    std::size_t steps, std::size_t summary_window,
-    const std::function<void(std::size_t, const FleetIntervalStats &)>
-        &on_step)
+ClusterManager::run(std::size_t steps, std::size_t summary_window)
 {
     common::fatalIf(steps == 0, "ClusterManager::run: zero steps");
     common::fatalIf(summary_window == 0 || summary_window > steps,
@@ -974,8 +971,6 @@ ClusterManager::run(
             }
             power_sum += fs.totalPowerW;
         }
-        if (on_step)
-            on_step(t, fs);
         result.trace.push_back(fs);
     }
 

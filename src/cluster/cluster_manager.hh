@@ -355,14 +355,9 @@ class ClusterManager
      * overwrites; copy it if you need it to persist. */
     const FleetIntervalStats &step();
 
-    /**
-     * Run @p steps intervals; metrics summarise the trailing
-     * @p summary_window. @p on_step (optional) observes every interval.
-     */
-    FleetRunResult
-    run(std::size_t steps, std::size_t summary_window,
-        const std::function<void(std::size_t, const FleetIntervalStats &)>
-            &on_step = {});
+    /** Run @p steps intervals; metrics summarise the trailing
+     * @p summary_window, and the trace holds every interval. */
+    FleetRunResult run(std::size_t steps, std::size_t summary_window);
 
   private:
     /** Everything needed to rebuild a replica after a crash. */

@@ -1,12 +1,12 @@
 #include "harness/engine.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <ostream>
 
 #include "common/error.hh"
+#include "common/json.hh"
 #include "core/twig_manager.hh"
 #include "harness/profiling.hh"
-#include "harness/sim_profile.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
 #include "sim/server.hh"
@@ -104,131 +104,6 @@ expandCheckpoint(const std::string &path, std::size_t cores)
 
 } // namespace
 
-// --- CsvTraceSink ----------------------------------------------------
-
-void
-CsvTraceSink::begin(const ScenarioSpec &spec,
-                    const std::vector<sim::ServiceProfile> &profiles)
-{
-    singleTopology_ = spec.topology != "cluster";
-    numServices_ = profiles.size();
-    csv_ = std::make_unique<common::CsvWriter>(path_);
-    std::vector<std::string> header = {"step", "power_w"};
-    for (const auto &p : profiles) {
-        if (singleTopology_) {
-            header.push_back(p.name + "_cores");
-            header.push_back(p.name + "_dvfs_ghz");
-            header.push_back(p.name + "_p99_ms");
-            header.push_back(p.name + "_rps");
-        } else {
-            header.push_back(p.name + "_fleet_rps");
-            header.push_back(p.name + "_fleet_p99_ms");
-        }
-    }
-    csv_->header(header);
-}
-
-void
-CsvTraceSink::record(const StepRecord &rec)
-{
-    row_.clear();
-    row_.push_back(static_cast<double>(rec.step));
-    row_.push_back(rec.powerW);
-    for (std::size_t i = 0; i < numServices_; ++i) {
-        if (singleTopology_) {
-            row_.push_back(static_cast<double>(rec.cores[i]));
-            row_.push_back(1.2 +
-                           0.1 * static_cast<double>(rec.dvfs[i]));
-            row_.push_back(rec.p99Ms[i]);
-            row_.push_back(rec.offeredRps[i]);
-        } else {
-            row_.push_back(rec.offeredRps[i]);
-            row_.push_back(rec.p99Ms[i]);
-        }
-    }
-    csv_->rowVec(row_);
-    ++records_;
-}
-
-// --- FaultCsvSink ----------------------------------------------------
-
-void
-FaultCsvSink::begin(const ScenarioSpec &,
-                    const std::vector<sim::ServiceProfile> &)
-{
-    csv_ = std::make_unique<common::CsvWriter>(path_);
-    csv_->header(
-        {"step", "event", "node", "service", "value", "aux", "note"});
-}
-
-void
-FaultCsvSink::fault(const faults::FaultEvent &ev)
-{
-    csv_->row(ev.step, faults::faultEventKindName(ev.kind), ev.node,
-              ev.service, ev.value, ev.aux, ev.note);
-    ++events_;
-}
-
-// --- MetricsSink -----------------------------------------------------
-
-void
-MetricsSink::begin(const ScenarioSpec &spec,
-                   const std::vector<sim::ServiceProfile> &profiles)
-{
-    std::vector<std::string> names;
-    std::vector<double> targets;
-    for (const auto &p : profiles) {
-        names.push_back(p.name);
-        targets.push_back(p.qosTargetMs);
-    }
-    acc_ = std::make_unique<MetricsAccumulator>(std::move(names),
-                                                std::move(targets));
-    const std::size_t window = spec.resolvedWindow();
-    windowStart_ = spec.steps > window ? spec.steps - window : 0;
-    intervalSeconds_ = sim::MachineConfig{}.intervalSeconds;
-}
-
-void
-MetricsSink::record(const StepRecord &rec)
-{
-    if (rec.step >= windowStart_)
-        acc_->add(rec.p99Ms, rec.powerW, intervalSeconds_);
-}
-
-void
-MetricsSink::end()
-{
-    metrics_ = acc_->finish();
-}
-
-// --- SimProfileSink --------------------------------------------------
-
-void
-SimProfileSink::begin(const ScenarioSpec &spec,
-                      const std::vector<sim::ServiceProfile> &)
-{
-    steps_ = spec.steps;
-    SimProfile::reset();
-    SimProfile::enable();
-}
-
-void
-SimProfileSink::end()
-{
-    std::printf("simulator phase breakdown (%zu steps):\n", steps_);
-    const SimProfile prof = SimProfile::snapshot();
-    prof.print(stdout);
-    SimProfile::disable();
-    const auto over = prof.phasesAbove(maxSharePct_);
-    exceeded_ = !over.empty();
-    for (const auto p : over) {
-        std::printf("  WARNING: phase '%s' share %.2f%% exceeds the "
-                    "--profile-max-share budget of %.2f%%\n",
-                    common::simprof::phaseName(p), prof.sharePct(p),
-                    maxSharePct_);
-    }
-}
-
 // --- EngineResult ----------------------------------------------------
 
 double
@@ -298,10 +173,6 @@ Engine::runSingle(const ScenarioSpec &spec,
         manager = owned.get();
     }
 
-    const auto final_profiles = profilesFor(spec.finalServices());
-    for (auto *sink : options_.sinks)
-        sink->begin(spec, final_profiles);
-
     auto build_server = [&](const std::vector<ServiceLoadSpec> &loads,
                             std::uint64_t seed,
                             std::size_t segment_steps) {
@@ -350,27 +221,11 @@ Engine::runSingle(const ScenarioSpec &spec,
     RunOptions run;
     run.steps = spec.steps;
     run.summaryWindow = sched.summaryWindow;
-    run.recordTrace = options_.recordTrace || !options_.sinks.empty();
+    run.recordTrace = options_.recordTrace;
 
     EngineResult result;
     result.managerName = manager->name();
     result.single = runner.run(run);
-
-    StepRecord rec;
-    for (const auto &tr : result.single.trace) {
-        rec.step = tr.step;
-        rec.powerW = tr.socketPowerW;
-        rec.offeredRps = tr.offeredRps;
-        rec.p99Ms = tr.p99Ms;
-        rec.cores = tr.cores;
-        rec.dvfs = tr.dvfs;
-        for (auto *sink : options_.sinks)
-            sink->record(rec);
-    }
-    for (auto *sink : options_.sinks)
-        sink->end();
-    if (!options_.recordTrace)
-        result.single.trace.clear();
     return result;
 }
 
@@ -525,27 +380,9 @@ Engine::runCluster(const ScenarioSpec &spec,
     auto setup = buildFleet(spec, registry, options_.jobs);
     cluster::ClusterManager &fleet = *setup.fleet;
 
-    for (auto *sink : options_.sinks)
-        sink->begin(spec, setup.profiles);
-
     EngineResult result;
     result.cluster = true;
     result.fleet = fleet.run(spec.steps, window);
-
-    StepRecord rec;
-    for (const auto &fs : result.fleet.trace) {
-        rec.step = fs.step;
-        rec.powerW = fs.totalPowerW;
-        rec.offeredRps = fs.offeredRps;
-        rec.p99Ms = fs.fleetP99Ms;
-        for (auto *sink : options_.sinks) {
-            for (const auto &ev : fs.faultEvents)
-                sink->fault(ev);
-            sink->record(rec);
-        }
-    }
-    for (auto *sink : options_.sinks)
-        sink->end();
 
     if (!options_.saveCheckpoint.empty()) {
         auto *twig = dynamic_cast<core::TwigManager *>(
@@ -555,6 +392,110 @@ Engine::runCluster(const ScenarioSpec &spec,
         twig->saveCheckpoint(options_.saveCheckpoint);
     }
     return result;
+}
+
+// --- writeTrace ------------------------------------------------------
+
+namespace {
+
+common::Json
+jsonArray(const std::vector<double> &values)
+{
+    common::Json arr = common::Json::array();
+    for (const double v : values)
+        arr.push(v);
+    return arr;
+}
+
+/** The `interval` line's fields common to both topologies. */
+common::Json
+intervalLine(std::size_t step, double power_w,
+             const std::vector<double> &rps,
+             const std::vector<double> &p99_ms)
+{
+    common::Json line = common::Json::object();
+    line.set("kind", "interval");
+    line.set("step", step);
+    line.set("power_w", power_w);
+    line.set("rps", jsonArray(rps));
+    line.set("p99_ms", jsonArray(p99_ms));
+    return line;
+}
+
+} // namespace
+
+TraceCounts
+writeTrace(std::ostream &out, const ScenarioSpec &spec,
+           const EngineResult &result)
+{
+    common::fatalIf(!result.cluster && result.single.trace.empty(),
+                    "writeTrace: the single-topology result carries no "
+                    "trace (set EngineOptions::recordTrace)");
+    auto emit = [&out](const common::Json &line) {
+        out << line.dump() << '\n';
+    };
+
+    common::Json header = common::Json::object();
+    header.set("kind", "run");
+    header.set("schema", 1);
+    header.set("scenario", spec.name);
+    header.set("topology", result.cluster ? "cluster" : "single");
+    common::Json names = common::Json::array();
+    for (const auto &s : spec.finalServices())
+        names.push(s.service);
+    header.set("services", std::move(names));
+    emit(header);
+
+    TraceCounts counts;
+    if (!result.cluster) {
+        const sim::DvfsLadder ladder;
+        for (const auto &tr : result.single.trace) {
+            common::Json line = intervalLine(tr.step, tr.socketPowerW,
+                                             tr.offeredRps, tr.p99Ms);
+            common::Json cores = common::Json::array();
+            common::Json ghz = common::Json::array();
+            for (std::size_t i = 0; i < tr.cores.size(); ++i) {
+                cores.push(tr.cores[i]);
+                ghz.push(ladder.freq(tr.dvfs[i]));
+            }
+            line.set("cores", std::move(cores));
+            line.set("dvfs_ghz", std::move(ghz));
+            emit(line);
+            ++counts.intervals;
+        }
+        return counts;
+    }
+
+    for (const auto &fs : result.fleet.trace) {
+        for (const auto &ev : fs.faultEvents) {
+            common::Json line = common::Json::object();
+            line.set("kind", "fault");
+            line.set("step", ev.step);
+            line.set("event", faults::faultEventKindName(ev.kind));
+            line.set("node", ev.node);
+            line.set("service", ev.service);
+            line.set("value", ev.value);
+            line.set("aux", ev.aux);
+            line.set("note", ev.note);
+            emit(line);
+            ++counts.events;
+        }
+        for (const auto &ev : fs.scaleEvents) {
+            common::Json line = common::Json::object();
+            line.set("kind", "scale");
+            line.set("step", ev.step);
+            line.set("event", cluster::scaleEventKindName(ev.kind));
+            line.set("node", ev.node);
+            line.set("utilization", ev.utilization);
+            line.set("tardiness", ev.tardiness);
+            emit(line);
+            ++counts.events;
+        }
+        emit(intervalLine(fs.step, fs.totalPowerW, fs.offeredRps,
+                          fs.fleetP99Ms));
+        ++counts.intervals;
+    }
+    return counts;
 }
 
 } // namespace twig::harness

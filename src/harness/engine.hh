@@ -3,167 +3,27 @@
  * Scenario engine: executes a ScenarioSpec on either topology —
  * a single sim::Server driven through ExperimentRunner, or an N-node
  * cluster::ClusterManager fleet — building the manager through the
- * ManagerRegistry and emitting per-step records through composable
- * RecordSinks (CSV trace, recomputed metrics, simulator cycle
- * profile). Every tool and comparison bench funnels through here, so
- * a scenario file, a CLI invocation and a bench cell are the same run.
+ * ManagerRegistry; writeTrace() renders the run's recorded per-step
+ * trace as one JSON-lines stream. Every tool and comparison bench
+ * funnels through here, so a scenario file, a CLI invocation and a
+ * bench cell are the same run.
  */
 
 #ifndef TWIG_HARNESS_ENGINE_HH
 #define TWIG_HARNESS_ENGINE_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster_manager.hh"
-#include "common/csv.hh"
-#include "harness/metrics.hh"
 #include "harness/registry.hh"
 #include "harness/runner.hh"
 #include "harness/scenario.hh"
 
 namespace twig::harness {
-
-/** One per-step record, topology-independent. */
-struct StepRecord
-{
-    std::size_t step = 0;
-    /** Socket power (single) / summed fleet power (cluster), W. */
-    double powerW = 0.0;
-    std::vector<double> offeredRps;
-    std::vector<double> p99Ms;
-    /** Requested cores / DVFS indices; empty on the cluster topology
-     * (resource decisions are per-node there). */
-    std::vector<std::size_t> cores;
-    std::vector<std::size_t> dvfs;
-};
-
-/** Observer of the final (measured) segment's per-step records. */
-class RecordSink
-{
-  public:
-    virtual ~RecordSink() = default;
-
-    /** Called once before the run, with the final segment's service
-     * profiles. */
-    virtual void
-    begin(const ScenarioSpec &spec,
-          const std::vector<sim::ServiceProfile> &profiles)
-    {
-        (void)spec;
-        (void)profiles;
-    }
-
-    virtual void record(const StepRecord &rec) = 0;
-
-    /** Called for every fault event of a step, before that step's
-     * record() (cluster topology with a fault schedule only). */
-    virtual void fault(const faults::FaultEvent &ev) { (void)ev; }
-
-    /** Called once after the last record. */
-    virtual void end() {}
-};
-
-/** CSV trace writer (twig --trace): the per-step layout on the single
- * topology (cores/DVFS/p99/RPS per service), the fleet layout
- * (RPS/p99 per service) on the cluster. */
-class CsvTraceSink : public RecordSink
-{
-  public:
-    explicit CsvTraceSink(std::string path) : path_(std::move(path)) {}
-
-    void begin(const ScenarioSpec &spec,
-               const std::vector<sim::ServiceProfile> &profiles) override;
-    void record(const StepRecord &rec) override;
-
-    const std::string &path() const { return path_; }
-    /** Rows written so far. */
-    std::size_t records() const { return records_; }
-
-  private:
-    std::string path_;
-    std::unique_ptr<common::CsvWriter> csv_;
-    bool singleTopology_ = true;
-    std::size_t numServices_ = 0;
-    std::size_t records_ = 0;
-    std::vector<double> row_;
-};
-
-/** Writes the fault-event stream as CSV (tools' --fault-trace): one
- * row per event with the kind name and the kind-specific scalars. */
-class FaultCsvSink : public RecordSink
-{
-  public:
-    explicit FaultCsvSink(std::string path) : path_(std::move(path)) {}
-
-    void begin(const ScenarioSpec &spec,
-               const std::vector<sim::ServiceProfile> &profiles) override;
-    void record(const StepRecord &rec) override { (void)rec; }
-    void fault(const faults::FaultEvent &ev) override;
-    /** Close the file so the event stream is complete on disk. */
-    void end() override { csv_.reset(); }
-
-    const std::string &path() const { return path_; }
-    /** Events written so far. */
-    std::size_t events() const { return events_; }
-
-  private:
-    std::string path_;
-    std::unique_ptr<common::CsvWriter> csv_;
-    std::size_t events_ = 0;
-};
-
-/** Recomputes RunMetrics from the record stream over the trailing
- * window — a cross-check of the runner's internal accumulator and the
- * metrics surface for fleet runs. */
-class MetricsSink : public RecordSink
-{
-  public:
-    void begin(const ScenarioSpec &spec,
-               const std::vector<sim::ServiceProfile> &profiles) override;
-    void record(const StepRecord &rec) override;
-    void end() override;
-
-    /** Valid after end(). */
-    const RunMetrics &metrics() const { return metrics_; }
-
-  private:
-    std::unique_ptr<MetricsAccumulator> acc_;
-    std::size_t windowStart_ = 0;
-    double intervalSeconds_ = 1.0;
-    RunMetrics metrics_;
-};
-
-/** Wraps the run in the per-phase simulator cycle counters and prints
- * the breakdown — cycles, calls and percentage share per phase — at
- * end() (tools' --sim-profile). A share budget (--profile-max-share)
- * additionally flags every phase whose share exceeds it, so a CI run
- * can assert "no phase above N%" instead of eyeballing the table. */
-class SimProfileSink : public RecordSink
-{
-  public:
-    /** @param max_share_pct  flag phases above this share of total
-     *  cycles; the default never flags. */
-    explicit SimProfileSink(double max_share_pct = 100.0)
-        : maxSharePct_(max_share_pct)
-    {
-    }
-
-    void begin(const ScenarioSpec &spec,
-               const std::vector<sim::ServiceProfile> &profiles) override;
-    void record(const StepRecord &rec) override { (void)rec; }
-    void end() override;
-
-    /** Whether end() found a phase above the share budget. */
-    bool exceeded() const { return exceeded_; }
-
-  private:
-    double maxSharePct_;
-    bool exceeded_ = false;
-    std::size_t steps_ = 0;
-};
 
 /** Engine execution options (runtime concerns that are not part of
  * the experiment's identity, so they live outside the spec). */
@@ -172,10 +32,9 @@ struct EngineOptions
     /** Node-stepping threads on the cluster topology (bit-identical
      * at any value). */
     std::size_t jobs = 1;
-    /** Keep the single-topology per-step trace in the result. */
+    /** Keep the single-topology per-step trace in the result (the
+     * fleet trace is always kept). */
     bool recordTrace = false;
-    /** Observers of the final segment (not owned). */
-    std::vector<RecordSink *> sinks;
     /** Run this manager instead of building one from the spec
      * (single topology only; for pre-built or ablated managers). */
     core::TaskManager *managerOverride = nullptr;
@@ -259,6 +118,31 @@ class Engine
 
     EngineOptions options_;
 };
+
+/** Record counts of one writeTrace() call. */
+struct TraceCounts
+{
+    /** `interval` lines (one per recorded step). */
+    std::size_t intervals = 0;
+    /** `fault` + `scale` lines. */
+    std::size_t events = 0;
+};
+
+/**
+ * Write @p result's recorded trace to @p out as JSON lines (schema 1),
+ * one common::Json object per line:
+ *  - a `run` header: scenario, topology, final-segment service names;
+ *  - per step, first one `fault` line per fault event (step, event,
+ *    node, service, value, aux, note) and one `scale` line per scale
+ *    event (step, event, node, utilization, tardiness), then one
+ *    `interval` line: step, power_w, rps[], p99_ms[], plus cores[] and
+ *    dvfs_ghz[] on the single topology.
+ * A single-topology result must carry its trace
+ * (EngineOptions::recordTrace). The caller opens, flushes and checks
+ * @p out.
+ */
+TraceCounts writeTrace(std::ostream &out, const ScenarioSpec &spec,
+                       const EngineResult &result);
 
 } // namespace twig::harness
 

@@ -554,11 +554,7 @@ TEST(ClusterAutoscale, ScaleInDrainsThenRetiresHighestFirst)
     auto cfg = validConfig();
     cfg.drainIntervals = 2;
     auto fleet = makeElasticFleet({0.1}, cfg, 3);
-    std::vector<cluster::FleetIntervalStats> trace;
-    fleet.run(10, 2,
-              [&trace](std::size_t, const cluster::FleetIntervalStats &s) {
-                  trace.push_back(s);
-              });
+    const auto trace = fleet.run(10, 2).trace;
     const auto &log = fleet.scaleLog();
     ASSERT_GE(countKind(log, cluster::ScaleEvent::Kind::DrainStart), 1u);
     ASSERT_GE(countKind(log, cluster::ScaleEvent::Kind::Retire), 1u);
@@ -590,16 +586,13 @@ TEST(ClusterAutoscale, BillMatchesPoweredSlotSeconds)
     const double interval_s =
         fleet.node(0).machine().intervalSeconds;
     double expected = 0.0;
-    const auto result = fleet.run(
-        12, 2,
-        [&expected, interval_s](std::size_t,
-                                const cluster::FleetIntervalStats &s) {
-            std::size_t powered = 0;
-            for (const auto up : s.nodeUp)
-                powered += up != 0 ? 1 : 0;
-            expected +=
-                static_cast<double>(powered) * interval_s / 3600.0;
-        });
+    const auto result = fleet.run(12, 2);
+    for (const auto &s : result.trace) {
+        std::size_t powered = 0;
+        for (const auto up : s.nodeUp)
+            powered += up != 0 ? 1 : 0;
+        expected += static_cast<double>(powered) * interval_s / 3600.0;
+    }
     EXPECT_NEAR(fleet.costDollars(), expected, 1e-9);
     EXPECT_DOUBLE_EQ(result.metrics.costDollars, fleet.costDollars());
     // The elastic bill must undercut always-on max provisioning.
@@ -839,23 +832,19 @@ TEST(AutoscaleEngine, ReactivatedSlotRestoresItsDrainTimePolicy)
     bool warm_restored_after_retire = false;
     std::size_t retired_node = 0;
     bool retired = false;
-    fleet.run(40, 5,
-              [&](std::size_t, const cluster::FleetIntervalStats &s) {
-                  for (const auto &ev : s.scaleEvents) {
-                      if (ev.kind == cluster::ScaleEvent::Kind::Retire) {
-                          retired = true;
-                          retired_node = ev.node;
-                      }
-                  }
-                  for (const auto &ev : s.faultEvents) {
-                      if (retired &&
-                          ev.kind ==
-                              faults::FaultEventKind::WarmRestore &&
-                          ev.node == static_cast<std::int64_t>(
-                                         retired_node))
-                          warm_restored_after_retire = true;
-                  }
-              });
+    for (const auto &s : fleet.run(40, 5).trace) {
+        for (const auto &ev : s.scaleEvents) {
+            if (ev.kind == cluster::ScaleEvent::Kind::Retire) {
+                retired = true;
+                retired_node = ev.node;
+            }
+        }
+        for (const auto &ev : s.faultEvents) {
+            if (retired && ev.kind == faults::FaultEventKind::WarmRestore &&
+                ev.node == static_cast<std::int64_t>(retired_node))
+                warm_restored_after_retire = true;
+        }
+    }
     ASSERT_TRUE(retired);
     EXPECT_TRUE(warm_restored_after_retire);
 }

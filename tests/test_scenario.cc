@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "baselines/static_manager.hh"
 #include "cluster/cluster_manager.hh"
 #include "common/error.hh"
+#include "common/json.hh"
+#include "faults/fault_spec.hh"
 #include "harness/engine.hh"
 #include "harness/managers.hh"
 #include "harness/runner.hh"
@@ -621,50 +626,178 @@ TEST(Engine, ClusterGoldenRunMatchesHandBuiltFleet)
                      engine_run.fleet.metrics.energyJoules);
 }
 
-TEST(Engine, SinksSeeEveryMeasuredStepInOrder)
+namespace {
+
+/** Parse every line of a writeTrace() stream. */
+std::vector<common::Json>
+traceLines(const std::string &text)
 {
-    class CountingSink : public RecordSink
-    {
-      public:
-        void
-        begin(const ScenarioSpec &spec,
-              const std::vector<sim::ServiceProfile> &profiles) override
-        {
-            beginCalls++;
-            services = profiles.size();
-        }
-        void
-        record(const StepRecord &rec) override
-        {
-            EXPECT_EQ(rec.step, steps); // strictly ordered from 0
-            EXPECT_EQ(rec.p99Ms.size(), services);
-            EXPECT_EQ(rec.cores.size(), services);
-            steps++;
-        }
-        void end() override { endCalls++; }
+    std::vector<common::Json> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(common::Json::parse(line));
+    return lines;
+}
 
-        std::size_t beginCalls = 0, endCalls = 0, steps = 0;
-        std::size_t services = 0;
-    };
+std::string
+traceText(const ScenarioSpec &spec, const EngineResult &result)
+{
+    std::ostringstream out;
+    writeTrace(out, spec, result);
+    return out.str();
+}
 
+void
+expectBitEqual(const common::Json &got, double want)
+{
+    const double v = got.asNumber();
+    EXPECT_EQ(std::memcmp(&v, &want, sizeof v), 0) << v << " vs " << want;
+}
+
+/** Bit-exact equality of a JSON number array and a vector. */
+template <typename T>
+void
+expectSameArray(const common::Json &arr, const std::vector<T> &want)
+{
+    ASSERT_EQ(arr.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        expectBitEqual(arr.at(i), static_cast<double>(want[i]));
+}
+
+ScenarioSpec
+crashAndScaleSpec()
+{
     ScenarioSpec spec;
-    spec.name = "sink-order";
-    ServiceLoadSpec svc;
-    svc.service = "masstree";
-    svc.fraction = 0.5;
-    spec.services.push_back(svc);
+    spec.name = "trace-fleet";
+    spec.topology = "cluster";
+    ServiceLoadSpec load;
+    load.service = "masstree";
+    load.fraction = 0.1;
+    spec.services.push_back(load);
     spec.manager = "static";
+    spec.steps = 16;
+    spec.window = 4;
+    spec.nodes = 3;
+    faults::FaultAction crash;
+    crash.kind = faults::FaultKind::NodeCrash;
+    crash.atStep = 3;
+    crash.node = 0;
+    crash.restartAfterSteps = 4;
+    crash.recovery = "cold";
+    spec.faults.actions.push_back(crash);
+    autoscale::AutoscaleConfig cfg;
+    cfg.minNodes = 1;
+    cfg.maxNodes = 3;
+    cfg.hiUtilization = 0.6;
+    cfg.loUtilization = 0.4;
+    cfg.persistIntervals = 1;
+    cfg.cooldownIntervals = 1;
+    spec.autoscale = cfg;
+    return spec;
+}
+
+} // namespace
+
+TEST(TraceWriter, SingleTraceRoundTripsBitExact)
+{
+    ScenarioSpec spec;
+    spec.name = "trace-single";
+    for (const char *name : {"masstree", "xapian"}) {
+        ServiceLoadSpec svc;
+        svc.service = name;
+        svc.fraction = 0.4;
+        spec.services.push_back(svc);
+    }
+    spec.manager = "twig";
     spec.steps = 25;
     spec.window = 10;
     spec.seed = 3;
 
-    CountingSink sink;
     EngineOptions opts;
-    opts.sinks.push_back(&sink);
-    Engine(opts).run(spec);
-    EXPECT_EQ(sink.beginCalls, 1u);
-    EXPECT_EQ(sink.endCalls, 1u);
-    EXPECT_EQ(sink.steps, 25u);
+    opts.recordTrace = true;
+    const auto result = Engine(opts).run(spec);
+    std::ostringstream out;
+    const auto counts = writeTrace(out, spec, result);
+    EXPECT_EQ(counts.intervals, 25u);
+    EXPECT_EQ(counts.events, 0u);
+
+    const auto lines = traceLines(out.str());
+    ASSERT_EQ(lines.size(), 26u);
+    const auto &header = lines[0];
+    EXPECT_EQ(header.at("kind").asString(), "run");
+    EXPECT_EQ(header.at("schema").asIndex(), 1u);
+    EXPECT_EQ(header.at("scenario").asString(), "trace-single");
+    EXPECT_EQ(header.at("topology").asString(), "single");
+    ASSERT_EQ(header.at("services").size(), 2u);
+    EXPECT_EQ(header.at("services").at(1).asString(), "xapian");
+
+    const sim::DvfsLadder ladder;
+    const auto &trace = result.single.trace;
+    ASSERT_EQ(trace.size(), 25u);
+    for (std::size_t t = 0; t < trace.size(); ++t) {
+        const auto &line = lines[t + 1];
+        EXPECT_EQ(line.at("kind").asString(), "interval");
+        EXPECT_EQ(line.at("step").asIndex(), trace[t].step);
+        EXPECT_EQ(trace[t].step, t);
+        expectBitEqual(line.at("power_w"), trace[t].socketPowerW);
+        expectSameArray(line.at("rps"), trace[t].offeredRps);
+        expectSameArray(line.at("p99_ms"), trace[t].p99Ms);
+        expectSameArray(line.at("cores"), trace[t].cores);
+        std::vector<double> ghz;
+        for (const auto idx : trace[t].dvfs)
+            ghz.push_back(ladder.freq(idx));
+        expectSameArray(line.at("dvfs_ghz"), ghz);
+    }
+}
+
+TEST(TraceWriter, FleetEventsPrecedeTheirInterval)
+{
+    const auto spec = crashAndScaleSpec();
+    const auto result = Engine().run(spec);
+    std::ostringstream out;
+    const auto counts = writeTrace(out, spec, result);
+    const auto lines = traceLines(out.str());
+    ASSERT_EQ(lines.size(), 1 + counts.intervals + counts.events);
+    EXPECT_EQ(lines[0].at("topology").asString(), "cluster");
+    EXPECT_EQ(counts.intervals, spec.steps);
+
+    std::size_t next_step = 0, faults = 0, scales = 0;
+    bool crash = false, cold = false;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        const auto &line = lines[i];
+        const std::string kind = line.at("kind").asString();
+        // Events carry the step of the interval line that follows.
+        EXPECT_EQ(line.at("step").asIndex(), next_step) << "line " << i;
+        if (kind == "interval") {
+            EXPECT_FALSE(line.has("cores"));
+            ++next_step;
+        } else if (kind == "fault") {
+            ++faults;
+            crash |= line.at("event").asString() == "node_crash";
+            cold |= line.at("event").asString() == "cold_restart";
+        } else {
+            ASSERT_EQ(kind, "scale");
+            ++scales;
+            EXPECT_TRUE(line.has("utilization"));
+        }
+    }
+    EXPECT_EQ(next_step, spec.steps);
+    EXPECT_TRUE(crash);
+    EXPECT_TRUE(cold);
+    EXPECT_GE(scales, 1u);
+    EXPECT_EQ(faults + scales, counts.events);
+}
+
+TEST(TraceWriter, FleetTraceIsByteIdenticalAcrossJobs)
+{
+    const auto spec = crashAndScaleSpec();
+    EngineOptions serial, parallel;
+    serial.jobs = 1;
+    parallel.jobs = 2;
+    const std::string a = traceText(spec, Engine(serial).run(spec));
+    const std::string b = traceText(spec, Engine(parallel).run(spec));
+    EXPECT_FALSE(a.empty());
+    EXPECT_EQ(a, b);
 }
 
 TEST(Engine, InvalidSpecIsFatal)

@@ -5,7 +5,9 @@
  * Runs any catalogue service mix under any registered task manager and
  * load pattern, on one server or on an N-node fleet, and reports the
  * QoS/energy outcome (plus fleet tail latency, scale and fault events
- * and the bill on a fleet), optionally dumping a per-step CSV trace.
+ * and the bill on a fleet), optionally writing the run's per-step
+ * trace as one JSON-lines file (--trace; see harness::writeTrace for
+ * the record kinds: run header, interval, fault, scale).
  * The run is a harness::ScenarioSpec — loaded from a scenario file
  * (--scenario; scenarios/ ships one per paper figure) or built from
  * the flags — executed by the harness::Engine, so a CLI invocation, a
@@ -13,13 +15,14 @@
  * names its own topology; a flag-built run is a fleet exactly when
  * --nodes is given.
  *
- * Bad input (flags, scenario, service, checkpoint) exits 2 with a
- * message.
+ * Bad input (flags, scenario, service, checkpoint) and a trace file
+ * that cannot be written exit 2 with a message; a --sim-profile phase
+ * over the --profile-max-share budget exits 3.
  *
  * Examples:
  *   twig --service masstree --load 0.5
  *   twig --service masstree --service moses --manager parties
- *   twig --service xapian --steps 4000 --trace run.csv
+ *   twig --service xapian --steps 4000 --trace run.jsonl
  *   twig --service masstree --service img-dnn --nodes 8 \
  *       --policy p2c-latency --hetero --jobs 8
  *   twig --service masstree --nodes 1 --steps 700 \
@@ -31,6 +34,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,6 +44,7 @@
 #include "faults/fault_spec.hh"
 #include "harness/engine.hh"
 #include "harness/scenario.hh"
+#include "harness/sim_profile.hh"
 
 using namespace twig;
 
@@ -67,7 +72,6 @@ struct Options
     std::size_t autoscaleMax = 0;
     std::string trace;
     std::string faults;
-    std::string faultTrace;
     bool simProfile = false;
     /** Flag phases above this share of simulator cycles (percent);
      * 100 disables the check. Requires --sim-profile. */
@@ -128,12 +132,12 @@ makeParser(Options &opt)
     p.addMinMax("--autoscale", &opt.autoscaleMin, &opt.autoscaleMax,
                 "elastic fleet bounds MIN:MAX (overrides the "
                 "scenario's bounds; keeps its other autoscale knobs)");
-    p.addString("--trace", &opt.trace, "write a per-step CSV trace");
+    p.addString("--trace", &opt.trace,
+                "write the run's trace as JSON lines (run header, then "
+                "fault/scale/interval records per step)");
     p.addString("--faults", &opt.faults,
                 "fault-schedule file (replaces the scenario's own "
                 "schedule)");
-    p.addString("--fault-trace", &opt.faultTrace,
-                "write the fault-event stream as CSV");
     p.addBool("--sim-profile", &opt.simProfile,
               "print the per-phase simulator cycle breakdown (cycles, "
               "calls, share)");
@@ -294,33 +298,55 @@ printFleetSummary(const harness::ScenarioSpec &spec,
     }
 }
 
+/** Print the simulator phase breakdown of the run just finished and
+ * warn about every phase above @p max_share_pct; true when any is. */
+bool
+printSimProfile(std::size_t steps, double max_share_pct)
+{
+    std::printf("simulator phase breakdown (%zu steps):\n", steps);
+    const auto prof = harness::SimProfile::snapshot();
+    prof.print(stdout);
+    harness::SimProfile::disable();
+    const auto over = prof.phasesAbove(max_share_pct);
+    for (const auto p : over) {
+        std::printf("  WARNING: phase '%s' share %.2f%% exceeds the "
+                    "--profile-max-share budget of %.2f%%\n",
+                    common::simprof::phaseName(p), prof.sharePct(p),
+                    max_share_pct);
+    }
+    return !over.empty();
+}
+
 int
 run(const Options &opt, const common::FlagParser::Result &given)
 {
     const auto spec = buildSpec(opt, given);
 
+    // Opened before the run, so a bad path fails before any step.
+    std::ofstream trace;
+    if (!opt.trace.empty()) {
+        trace.open(opt.trace);
+        common::fatalIf(!trace, "cannot open trace file: ", opt.trace);
+    }
+
     harness::EngineOptions engine_opts;
     engine_opts.jobs = opt.jobs;
+    engine_opts.recordTrace = trace.is_open();
     engine_opts.saveCheckpoint = opt.saveCheckpoint;
-    harness::SimProfileSink sim_profile(opt.profileMaxShare);
-    harness::CsvTraceSink trace(opt.trace);
-    harness::FaultCsvSink fault_trace(opt.faultTrace);
-    if (opt.simProfile)
-        engine_opts.sinks.push_back(&sim_profile);
-    if (!opt.trace.empty())
-        engine_opts.sinks.push_back(&trace);
-    if (!opt.faultTrace.empty())
-        engine_opts.sinks.push_back(&fault_trace);
-
-    const auto result = harness::Engine(engine_opts).run(spec);
-
-    if (!opt.trace.empty()) {
-        std::printf("trace written to %s (%zu steps)\n",
-                    opt.trace.c_str(), trace.records());
+    if (opt.simProfile) {
+        harness::SimProfile::reset();
+        harness::SimProfile::enable();
     }
-    if (!opt.faultTrace.empty()) {
-        std::printf("fault trace written to %s (%zu events)\n",
-                    opt.faultTrace.c_str(), fault_trace.events());
+    const auto result = harness::Engine(engine_opts).run(spec);
+    const bool over_budget =
+        opt.simProfile && printSimProfile(spec.steps, opt.profileMaxShare);
+
+    if (trace.is_open()) {
+        const auto counts = harness::writeTrace(trace, spec, result);
+        trace.flush();
+        common::fatalIf(!trace, "cannot write trace file: ", opt.trace);
+        std::printf("trace written to %s (%zu intervals, %zu events)\n",
+                    opt.trace.c_str(), counts.intervals, counts.events);
     }
     if (!opt.saveCheckpoint.empty()) {
         std::printf("node 0 BDQ checkpoint written to %s\n",
@@ -332,7 +358,7 @@ run(const Options &opt, const common::FlagParser::Result &given)
         printSingleSummary(spec, result);
     // A blown phase budget is a soft failure: the run's numbers above
     // are still valid, but CI gets a distinct exit status.
-    return opt.simProfile && sim_profile.exceeded() ? 3 : 0;
+    return over_budget ? 3 : 0;
 }
 
 } // namespace
