@@ -15,6 +15,11 @@
  *              2M req/s offered) measuring what the framed protocol
  *              itself sustains on loopback, independent of the fleet
  *
+ * Both arms report the same p99 statistic: the mean, over the trailing
+ * summary window, of each interval's fleet p99 (itself measured over
+ * the fleet's last kQosWindowIntervals intervals) — what the daemon's
+ * summary computes, so the two columns compare like with like.
+ *
  * Emits a table plus BENCH_serve.json (--out PATH) recording both
  * arms' p99/QoS/power and the wire-level throughput, so a regression
  * in either the serving edge or the control loop shows up as a diff.
@@ -57,9 +62,18 @@ runSimulated(const harness::ScenarioSpec &spec, std::size_t jobs)
     const auto result = engine.run(spec);
     ArmResult arm;
     const auto &m = result.fleet.metrics;
-    for (std::size_t s = 0; s < m.serviceNames.size(); ++s)
-        arm.services.push_back({m.serviceNames[s], m.windowP99Ms[s],
-                                m.qosGuaranteePct[s]});
+    const auto &trace = result.fleet.trace;
+    const std::size_t first = trace.size() - m.windowSteps;
+    for (std::size_t s = 0; s < m.serviceNames.size(); ++s) {
+        double p99_sum = 0.0;
+        for (std::size_t t = first; t < trace.size(); ++t)
+            p99_sum += trace[t].fleetP99Ms[s];
+        arm.services.push_back(
+            {m.serviceNames[s],
+             m.windowSteps ? p99_sum / static_cast<double>(m.windowSteps)
+                           : 0.0,
+             m.qosGuaranteePct[s]});
+    }
     arm.meanPowerW = m.meanPowerW;
     return arm;
 }

@@ -13,8 +13,9 @@
 # summary and carry `fault` lines, autoscale scenarios `scale` lines,
 # proving the schedule actually fired within the reduced step budget.
 # The --profile-max-share budget must exit 3 when blown and 0 when
-# --sim-profile runs alone. Finally, every kind of bad input must be
-# rejected with exit status exactly 2 and a message (never a crash).
+# --sim-profile runs alone. Finally, every kind of bad input (among
+# them a checkpoint with one flipped byte) must be rejected with exit
+# status exactly 2 and a message (never a crash).
 set -u
 
 cd "$(dirname "$0")/.."
@@ -113,6 +114,23 @@ expect_status 3 --scenario "$single" --steps "$steps" --sim-profile \
 expect_status 0 --scenario "$single" --steps "$steps" --sim-profile
 echo "== --sim-profile budget exit status"
 
+# A corrupt checkpoint: a freshly trained donor with one byte flipped
+# mid-file, which the loader's checksum must catch.
+corrupt="$tmp/corrupt.ckpt"
+if ! "$sim" --service masstree --nodes 2 --steps 20 \
+    --save-checkpoint "$corrupt" >/dev/null 2>&1; then
+    echo "scenario_smoke: FAIL (could not write a donor checkpoint)" >&2
+    failures=$((failures + 1))
+fi
+python3 - "$corrupt" <<'PY'
+import sys
+with open(sys.argv[1], "r+b") as f:
+    data = bytearray(f.read())
+    data[len(data) // 2] ^= 0x01
+    f.seek(0)
+    f.write(data)
+PY
+
 # Bad input: each line is one invocation that must be rejected.
 missing=/nonexistent/twig-smoke
 while read -r -a args; do
@@ -127,6 +145,7 @@ done <<BAD
 --scenario $missing.json
 --service nosuch --steps $steps
 --service masstree --nodes 2 --steps $steps --checkpoint $missing.ckpt
+--service masstree --nodes 2 --steps $steps --checkpoint $corrupt
 --service masstree --load nan
 --service masstree --load inf
 --service masstree --load -1

@@ -7,18 +7,21 @@
 #
 # Asserts, end to end: the daemon binds and prints its port; the load
 # generator connects, gets every offered request acked, and exits 0;
-# the daemon accepts the same number of requests, writes a final
-# checksummed checkpoint frame, and reports a clean shutdown after
-# SIGTERM (exit 0) — the graceful-shutdown contract under a real
-# signal, not just the in-process test.
+# the daemon accepts the same number of requests, writes node 0's BDQ
+# checkpoint, and reports a clean shutdown after SIGTERM (exit 0) —
+# the graceful-shutdown contract under a real signal, not just the
+# in-process test. The shutdown checkpoint then warm-starts a batch
+# fleet (`twig --checkpoint`, exit 0), and a copy with one byte
+# flipped is refused with exit 2 and a message naming the checksum.
 set -u
 
 cd "$(dirname "$0")/.."
 build_dir=${1:-build}
 serve="$build_dir/tools/twig_serve"
 loadgen="$build_dir/tools/twig_loadgen"
+twig="$build_dir/tools/twig"
 
-for exe in "$serve" "$loadgen"; do
+for exe in "$serve" "$loadgen" "$twig"; do
     if [[ ! -x "$exe" ]]; then
         echo "serve_smoke: $exe not found -- build the project first" >&2
         exit 1
@@ -91,7 +94,37 @@ if ! grep -qE "accepted $offered requests" "$serve_log"; then
     exit 1
 fi
 if [[ ! -s "$ckpt" ]]; then
-    echo "serve_smoke: FAIL (no final checkpoint frame written)" >&2
+    echo "serve_smoke: FAIL (no final checkpoint written)" >&2
     exit 1
 fi
+
+# The served fleet's online learning warm-starts a batch fleet of the
+# same shape (scenarios/serve.json: 4 nodes, Masstree + img-dnn).
+warm=(--service masstree --service img-dnn --nodes 4 --steps 20)
+if ! warm_out=$("$twig" "${warm[@]}" --checkpoint "$ckpt" 2>&1); then
+    printf '%s\n' "$warm_out"
+    echo "serve_smoke: FAIL (twig --checkpoint rejected the daemon's checkpoint)" >&2
+    exit 1
+fi
+echo "serve_smoke: twig --checkpoint warm-started from the daemon's checkpoint"
+
+# One flipped byte mid-file must be refused: exit 2, checksum named.
+bad="$workdir/flipped.ckpt"
+cp "$ckpt" "$bad"
+mid=$(($(wc -c <"$ckpt") / 2))
+byte=$(od -An -tu1 -j "$mid" -N1 "$ckpt" | tr -d ' ')
+printf "$(printf '\\%03o' $((byte ^ 1)))" |
+    dd of="$bad" bs=1 seek="$mid" conv=notrunc status=none
+if cmp -s "$ckpt" "$bad"; then
+    echo "serve_smoke: FAIL (could not flip a checkpoint byte)" >&2
+    exit 1
+fi
+bad_out=$("$twig" "${warm[@]}" --checkpoint "$bad" 2>&1)
+bad_status=$?
+if [[ $bad_status -ne 2 ]] || ! grep -q checksum <<<"$bad_out"; then
+    printf '%s\n' "$bad_out"
+    echo "serve_smoke: FAIL (flipped checkpoint: exit $bad_status, want 2 naming the checksum)" >&2
+    exit 1
+fi
+printf '%s\n' "$bad_out"
 echo "serve_smoke: OK (offered=$offered acked=$acked, checkpoint $(wc -c <"$ckpt") bytes)"

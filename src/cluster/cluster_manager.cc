@@ -1,19 +1,17 @@
 #include "cluster/cluster_manager.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hh"
-#include "common/hash.hh"
 #include "common/sim_counters.hh"
 #include "core/twig_manager.hh"
 #include "harness/sweep.hh"
 
 namespace twig::cluster {
 
-using common::fnv1a;
 using common::simprof::now;
 
 const char *
@@ -63,11 +61,6 @@ ClusterManager::ClusterManager(
                     services_.size(), " services)");
     for (const auto &load : fleetLoads_)
         common::fatalIf(!load, "ClusterManager: null load generator");
-    common::fatalIf(cfg_.latencyBins == 0,
-                    "ClusterManager: latencyBins must be positive");
-    common::fatalIf(cfg_.latencySpanQosMultiple <= 0.0,
-                    "ClusterManager: latencySpanQosMultiple must be "
-                    "positive");
 }
 
 void
@@ -84,7 +77,7 @@ ClusterManager::setFlatReferenceControl(bool on)
 void
 ClusterManager::setBatchedInference(bool on)
 {
-    cfg_.batchedInference = on;
+    batchedInference_ = on;
     cohortsDirty_ = true;
 }
 
@@ -162,8 +155,8 @@ ClusterManager::binnings() const
     std::vector<LatencyBinning> out;
     out.reserve(services_.size());
     for (const auto &svc : services_)
-        out.push_back({0.0, svc.qosTargetMs * cfg_.latencySpanQosMultiple,
-                       cfg_.latencyBins});
+        out.push_back(
+            {0.0, svc.qosTargetMs * kLatencySpanQosMultiple, kLatencyBins});
     return out;
 }
 
@@ -323,18 +316,12 @@ ClusterManager::saveFrame(std::size_t n)
     std::ostringstream os(std::ios::binary);
     twig->saveCheckpointStream(
         os, "node " + std::to_string(n) + " checkpoint frame");
-    const std::string payload = std::move(os).str();
-    const std::uint64_t sum = fnv1a(payload.data(), payload.size());
-    std::string &frame = frames_[n];
-    frame.resize(sizeof(sum) + payload.size());
-    std::memcpy(frame.data(), &sum, sizeof(sum));
-    std::memcpy(frame.data() + sizeof(sum), payload.data(),
-                payload.size());
+    frames_[n] = std::move(os).str();
     faults::FaultEvent ev;
     ev.step = step_;
     ev.kind = faults::FaultEventKind::CheckpointSaved;
     ev.node = static_cast<std::int64_t>(n);
-    ev.value = static_cast<double>(payload.size());
+    ev.value = static_cast<double>(frames_[n].size());
     stepEvents_.push_back(std::move(ev));
 }
 
@@ -360,40 +347,31 @@ ClusterManager::rebuildNode(std::size_t n, const std::string &recovery)
         const std::string &frame = frames_[n];
         if (!twig) {
             cold_reason = "manager holds no restorable policy";
-        } else if (frame.size() <= sizeof(std::uint64_t)) {
+        } else if (frame.empty()) {
             cold_reason = "no checkpoint frame yet";
         } else {
-            std::uint64_t stored = 0;
-            std::memcpy(&stored, frame.data(), sizeof(stored));
-            const char *payload = frame.data() + sizeof(stored);
-            const std::size_t payload_len = frame.size() - sizeof(stored);
-            if (stored != fnv1a(payload, payload_len)) {
+            try {
+                std::istringstream is(frame, std::ios::binary);
+                twig->loadCheckpointStream(is, context);
+                // Resume the deployed policy: pure exploitation, no
+                // re-exploration (paper §V overhead mode).
+                twig->setExploitOnly(true);
+                warm = true;
+            } catch (const common::FatalError &err) {
+                // The loader verifies the checksum before installing
+                // anything; its diagnosis, without the severity tag,
+                // is the event's note.
+                constexpr std::string_view kTag = "fatal: ";
+                std::string_view note = err.what();
+                if (note.starts_with(kTag))
+                    note.remove_prefix(kTag.size());
                 faults::FaultEvent bad;
                 bad.step = step_;
                 bad.kind = faults::FaultEventKind::CorruptDetected;
                 bad.node = static_cast<std::int64_t>(n);
-                bad.note = context + ": checksum mismatch";
+                bad.note = note;
                 stepEvents_.push_back(std::move(bad));
                 cold_reason = "corrupt checkpoint frame";
-            } else {
-                try {
-                    std::istringstream is(
-                        std::string(payload, payload_len),
-                        std::ios::binary);
-                    twig->loadCheckpointStream(is, context);
-                    // Resume the deployed policy: pure exploitation,
-                    // no re-exploration (paper §V overhead mode).
-                    twig->setExploitOnly(true);
-                    warm = true;
-                } catch (const common::FatalError &err) {
-                    faults::FaultEvent bad;
-                    bad.step = step_;
-                    bad.kind = faults::FaultEventKind::CorruptDetected;
-                    bad.node = static_cast<std::int64_t>(n);
-                    bad.note = err.what();
-                    stepEvents_.push_back(std::move(bad));
-                    cold_reason = "corrupt checkpoint frame";
-                }
             }
         }
     }
@@ -403,8 +381,7 @@ ClusterManager::rebuildNode(std::size_t n, const std::string &recovery)
     outcome.node = static_cast<std::int64_t>(n);
     if (warm) {
         outcome.kind = faults::FaultEventKind::WarmRestore;
-        outcome.value =
-            static_cast<double>(frames_[n].size() - sizeof(std::uint64_t));
+        outcome.value = static_cast<double>(frames_[n].size());
     } else {
         outcome.kind = faults::FaultEventKind::ColdRestart;
         outcome.note = cold_reason;
@@ -479,9 +456,9 @@ ClusterManager::applyFaultEvents()
             surgeMult_[static_cast<std::size_t>(ev.service)] = 1.0;
             break;
         case faults::FaultEventKind::CheckpointCorrupt:
-            // Flip one bit in the stored payload (checksum untouched),
-            // so the next warm restore must notice.
-            if (frames_[n].size() > sizeof(std::uint64_t)) {
+            // Flip one bit mid-frame (checksum untouched), so the
+            // next warm restore must notice.
+            if (!frames_[n].empty()) {
                 const std::size_t at = frames_[n].size() / 2;
                 frames_[n][at] =
                     static_cast<char>(frames_[n][at] ^ 0x40);
@@ -738,7 +715,7 @@ ClusterManager::step()
     //    the pool schedule cannot change any node's results — only the
     //    order they finish in, which the serial merge below ignores.
     //    Cohort members defer their decisions to the batched pass.
-    const bool batching = cfg_.batchedInference && !flatReference_;
+    const bool batching = batchedInference_ && !flatReference_;
     if (batching && cohortsDirty_)
         rebuildCohorts();
     const std::uint64_t t_step = now();
@@ -907,11 +884,9 @@ ClusterManager::step()
     // interval's p99 is a noisy order statistic at realistic rates).
     if (recent_.empty())
         recent_.resize(num_services);
-    const std::size_t window_len =
-        std::max<std::size_t>(cfg_.qosWindowIntervals, 1);
     for (std::size_t s = 0; s < num_services; ++s) {
         auto &window = recent_[s];
-        if (window.size() < window_len) {
+        if (window.size() < kQosWindowIntervals) {
             window.push_back(mergedScratch_[s]);
         } else {
             // Evict the oldest interval without churning allocations:

@@ -80,6 +80,17 @@ class TwigManager;
 
 namespace twig::cluster {
 
+/** Latency-histogram bins per service. */
+constexpr std::size_t kLatencyBins = 1024;
+/** Histogram upper edge as a multiple of each service's QoS target
+ * (latencies beyond clamp into the last bin). */
+constexpr double kLatencySpanQosMultiple = 32.0;
+/** The per-step fleet p99 is measured over the completions of the
+ * last this-many intervals (mirrors MachineConfig's
+ * qosWindowIntervals: a single interval's p99 is a noisy order
+ * statistic). */
+constexpr std::size_t kQosWindowIntervals = 3;
+
 /** Fleet configuration. */
 struct ClusterConfig
 {
@@ -87,23 +98,9 @@ struct ClusterConfig
     /** Worker threads for node stepping; <= 1 steps serially. The
      * fleet metrics are bit-identical either way. */
     std::size_t jobs = 1;
-    /** Latency-histogram bins per service. */
-    std::size_t latencyBins = 1024;
-    /** Histogram upper edge as a multiple of each service's QoS
-     * target (latencies beyond clamp into the last bin). */
-    double latencySpanQosMultiple = 32.0;
-    /** The per-step fleet p99 is measured over the completions of the
-     * last this-many intervals (mirrors MachineConfig's
-     * qosWindowIntervals: a single interval's p99 is a noisy order
-     * statistic). */
-    std::size_t qosWindowIntervals = 3;
     /** Routing domains of the two-level front-end; 1 degenerates to
      * the flat router exactly (must not exceed the node count). */
     std::size_t domains = 1;
-    /** Batch the BDQ forward passes of identical exploit-only replicas
-     * into one fused GEMM per cohort per interval. Bit-identical to
-     * per-node forwards either way. */
-    bool batchedInference = true;
 };
 
 /** Cycle totals of the fleet control loop's phases (rdtsc via
@@ -156,7 +153,7 @@ struct FleetIntervalStats
     /** Fleet offered load per service (before routing). */
     std::vector<double> offeredRps;
     /** p99 per service over the fleet-wide completions of the last
-     * qosWindowIntervals intervals (merged per-node histograms). */
+     * kQosWindowIntervals intervals (merged per-node histograms). */
     std::vector<double> fleetP99Ms;
     /** Sum of node socket powers, W (crashed replicas contribute 0). */
     double totalPowerW = 0.0;
@@ -331,8 +328,10 @@ class ClusterManager
      */
     void setFlatReferenceControl(bool on);
 
-    /** Toggle cohort-batched BDQ inference (bit-identical either way;
-     * the bench uses the per-node mode for the timing comparison). */
+    /** Toggle cohort-batched BDQ inference, on by default: the BDQ
+     * forward passes of identical exploit-only replicas run as one
+     * fused GEMM per cohort per interval. Bit-identical either way;
+     * the bench uses the per-node mode for the timing comparison. */
     void setBatchedInference(bool on);
 
     /** Number of replicas deciding through a batched cohort in the
@@ -405,9 +404,9 @@ class ClusterManager
     void rebuildCohorts();
     /** Apply the schedule transitions due at the current step. */
     void applyFaultEvents();
-    /** Periodic checksummed in-memory BDQ frames of serving replicas. */
+    /** Periodic in-memory BDQ checkpoints of serving replicas. */
     void saveCheckpointFrames();
-    /** One checksummed in-memory BDQ frame of replica @p n (emits the
+    /** One in-memory BDQ checkpoint of replica @p n (emits the
      * CheckpointSaved event); no-op for managers without a policy. */
     void saveFrame(std::size_t n);
     /** Rebuild replica @p n after a crash; @p recovery is "warm" or
@@ -448,11 +447,12 @@ class ClusterManager
     std::vector<stats::Histogram> mergedScratch_;
     /** Hierarchical-merge scratch: per-domain per-service histograms. */
     std::vector<std::vector<stats::Histogram>> domainScratch_;
-    /** Last qosWindowIntervals interval histograms per service
+    /** Last kQosWindowIntervals interval histograms per service
      * (recent_[svc] is ordered oldest first). */
     std::vector<std::vector<stats::Histogram>> recent_;
 
     // --- batched inference -------------------------------------------
+    bool batchedInference_ = true;
     std::vector<Cohort> cohorts_;
     /** Cohorts need regrouping (topology or policy-freeze changed). */
     bool cohortsDirty_ = true;
@@ -479,8 +479,9 @@ class ClusterManager
     std::vector<NodeSlot> slots_;
     /** Health per node (1 = serving); sized by setFaults. */
     std::vector<std::uint8_t> nodeUp_;
-    /** Last periodic checkpoint frame per node: u64 FNV-1a checksum
-     * followed by the framed BDQ checkpoint ("" = none yet). */
+    /** Last periodic checkpoint frame per node: the bytes of a BDQ
+     * checkpoint file, checksum included (rl/checkpoint.hh; "" = none
+     * yet). */
     std::vector<std::string> frames_;
     /** Active load-surge multiplier per service (1.0 = none). */
     std::vector<double> surgeMult_;

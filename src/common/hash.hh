@@ -1,7 +1,7 @@
 /**
  * @file
- * FNV-1a 64-bit hashing, shared by the checkpoint-frame checksums
- * (cluster failover) and the manager fingerprints that group identical
+ * FNV-1a 64-bit hashing, shared by the BDQ checkpoint checksum
+ * (rl/checkpoint.hh) and the manager fingerprints that group identical
  * replicas into batched-inference cohorts.
  */
 

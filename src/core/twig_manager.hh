@@ -133,14 +133,14 @@ class TwigManager : public TaskManager
     void saveModel(std::ostream &os) const { learner_.save(os); }
     void loadModel(std::istream &is) { learner_.load(is); }
 
-    /** Framed binary checkpoint file of the trained BDQ (validated
-     * architecture fingerprint, rl/checkpoint.hh). This is the
-     * cluster warm-start path: checkpoint one trained replica, restore
-     * into managers on newly added nodes. */
+    /** Checkpoint file of the trained BDQ (architecture fingerprint
+     * and checksum, rl/checkpoint.hh). This is the warm-start path:
+     * checkpoint one trained replica (or the serve daemon's node 0),
+     * restore into managers on newly added nodes. */
     void saveCheckpoint(const std::string &path) const;
     void loadCheckpoint(const std::string &path);
 
-    /** Framed checkpoint to/from a stream instead of a file — the
+    /** The same checkpoint to/from a stream instead of a file — the
      * cluster failover path keeps the periodic frames in memory.
      * @p context prefixes error messages (e.g. "node 2 frame"). */
     void saveCheckpointStream(std::ostream &os,

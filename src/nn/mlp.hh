@@ -53,8 +53,8 @@ class Mlp
 
     const MlpConfig &config() const { return cfg_; }
 
-    /** Serialise / deserialise all layer parameters (raw binary; see
-     * nn/checkpoint.hh for the framed on-disk format). */
+    /** Serialise / deserialise all layer parameters (raw binary, no
+     * framing). */
     void save(std::ostream &os) const;
     void load(std::istream &is);
 

@@ -1,8 +1,7 @@
 #include "serve/daemon.hh"
 
 #include <chrono>
-#include <cstdio>
-#include <sstream>
+#include <filesystem>
 
 #include "common/error.hh"
 #include "core/twig_manager.hh"
@@ -112,23 +111,33 @@ Daemon::controlLoop()
 
     const auto started = clock::now();
     auto next = started + interval;
+    auto last_exchange = started;
     while (!stop_.load(std::memory_order_acquire)) {
         std::this_thread::sleep_until(next);
         next += interval;
         // A slow interval (fleet step > pacing) must not spiral into
         // a burst of zero-sleep catch-up steps: re-anchor instead.
-        if (next < clock::now())
-            next = clock::now() + interval;
+        const auto now = clock::now();
+        if (next < now) {
+            next = now + interval;
+            ++overruns_;
+        }
         if (stop_.load(std::memory_order_acquire))
             break;
 
+        // The window spans the time since the previous exchange, which
+        // an overrun stretches past the nominal interval.
+        const double window_s =
+            std::chrono::duration<double>(now - last_exchange).count();
+        last_exchange = now;
         IntervalRecord &rec = ring_[ringNext_];
+        rec.windowS = window_s;
         rec.observedRps.resize(numServices());
         for (std::size_t s = 0; s < numServices(); ++s) {
             const std::uint64_t count =
                 window_[s].exchange(0, std::memory_order_relaxed);
             const double observed =
-                static_cast<double>(count) / interval_s;
+                static_cast<double>(count) / window_s;
             rec.observedRps[s] = observed;
             liveLoads_[s]->set(observed);
         }
@@ -229,8 +238,8 @@ Daemon::onFrame(Connection &conn, const FrameView &frame)
         return true;
     }
     default:
-        // Server-to-client types (and Checkpoint) are protocol errors
-        // when sent by a client.
+        // Server-to-client types are protocol errors when sent by a
+        // client.
         return false;
     }
 }
@@ -246,22 +255,9 @@ Daemon::writeFinalCheckpoint(DaemonSummary &summary)
                     "twig_serve: --final-checkpoint needs a "
                     "TwigManager on node 0 (manager is '",
                     spec_.manager, "')");
-    std::ostringstream os(std::ios::binary);
-    twig->saveCheckpointStream(os, "twig_serve final checkpoint");
-    const std::string payload = std::move(os).str();
-    std::string frame;
-    encodeCheckpointFrame(frame, payload);
-    std::FILE *f =
-        std::fopen(options_.finalCheckpoint.c_str(), "wb");
-    common::fatalIf(f == nullptr, "twig_serve: cannot write ",
-                    options_.finalCheckpoint);
-    const std::size_t written =
-        std::fwrite(frame.data(), 1, frame.size(), f);
-    const bool flushed = std::fclose(f) == 0;
-    common::fatalIf(written != frame.size() || !flushed,
-                    "twig_serve: short write to ",
-                    options_.finalCheckpoint);
-    summary.checkpointBytes = frame.size();
+    twig->saveCheckpoint(options_.finalCheckpoint);
+    summary.checkpointBytes =
+        std::filesystem::file_size(options_.finalCheckpoint);
 }
 
 DaemonSummary
@@ -277,6 +273,7 @@ Daemon::join()
 
     DaemonSummary summary;
     summary.intervals = intervals_;
+    summary.overruns = overruns_;
     summary.acceptedRequests =
         accepted_.load(std::memory_order_relaxed);
     summary.wallSeconds = wallSeconds_;
@@ -294,7 +291,11 @@ Daemon::join()
     }
     harness::MetricsAccumulator acc(names, targets);
     const double interval_s = sim::MachineConfig{}.intervalSeconds;
+    // Observed rates are weighted by the wall time each window
+    // spanned: arrivals over the summary window's wall time, however
+    // unevenly overruns stretched its intervals.
     summary.observedRps.assign(numServices(), 0.0);
+    double span_s = 0.0;
     const std::size_t fill = ringFill_;
     for (std::size_t i = 0; i < fill; ++i) {
         const std::size_t idx =
@@ -302,11 +303,12 @@ Daemon::join()
         const IntervalRecord &rec = ring_[idx];
         acc.add(rec.p99Ms, rec.powerW, interval_s);
         for (std::size_t s = 0; s < numServices(); ++s)
-            summary.observedRps[s] += rec.observedRps[s];
+            summary.observedRps[s] += rec.observedRps[s] * rec.windowS;
+        span_s += rec.windowS;
     }
-    if (fill > 0) {
+    if (span_s > 0.0) {
         for (auto &rps : summary.observedRps)
-            rps /= static_cast<double>(fill);
+            rps /= span_s;
     }
     summary.metrics = acc.finish();
 

@@ -10,7 +10,10 @@
  *     answers handshake/stats/bye frames, and acks every batch.
  *   * the *control thread* wakes every wall-clock control interval,
  *     snapshots-and-resets the window counters, converts counts to
- *     requests-per-second, installs the rates into the fleet's
+ *     requests-per-second over the wall time the window actually
+ *     spanned (a fleet step that overruns the pacing stretches it;
+ *     the loop then re-anchors and counts an overrun), installs the
+ *     rates into the fleet's
  *     serve::LiveLoad generators and steps the ClusterManager one
  *     interval — so the per-node BDQ policies observe, act and learn
  *     online against measured load instead of a scripted profile.
@@ -28,8 +31,9 @@
  * current interval and stops; the event thread stops accepting,
  * drains in-flight connections — buffered frames are parsed and
  * answered, queued acks are flushed — and closes them; join() then
- * writes node 0's BDQ as a final FNV-checksummed Checkpoint frame
- * (protocol.hh) and returns the run summary. No mid-frame aborts.
+ * writes node 0's BDQ as a checkpoint file (rl/checkpoint.hh: the
+ * same checksummed format `twig --checkpoint` warm-starts from) and
+ * returns the run summary. No mid-frame aborts.
  */
 
 #ifndef TWIG_SERVE_DAEMON_HH
@@ -70,7 +74,7 @@ struct DaemonOptions
     std::size_t jobs = 1;
     /** Trailing summary window in intervals (0 = the spec's). */
     std::size_t windowIntervals = 0;
-    /** Write the final checksummed checkpoint frame here ("" = skip;
+    /** Write node 0's BDQ checkpoint here at shutdown ("" = skip;
      * needs a TwigManager on node 0). */
     std::string finalCheckpoint;
     /** Connection-drain budget at shutdown. */
@@ -82,6 +86,9 @@ struct DaemonSummary
 {
     /** Control intervals stepped. */
     std::size_t intervals = 0;
+    /** Intervals whose fleet step overran the pacing, so the loop
+     * re-anchored its schedule. */
+    std::size_t overruns = 0;
     /** Requests accepted off the wire over the whole run. */
     std::uint64_t acceptedRequests = 0;
     /** acceptedRequests / wall seconds. */
@@ -89,10 +96,10 @@ struct DaemonSummary
     double wallSeconds = 0.0;
     /** Metrics over the trailing window of intervals. */
     harness::RunMetrics metrics;
-    /** Raw (pre-clamp) mean observed RPS per service over the window. */
+    /** Raw (pre-clamp) observed RPS per service over the window:
+     * arrivals divided by the wall time the window spanned. */
     std::vector<double> observedRps;
-    /** Bytes of the final checkpoint frame ("" path or non-Twig
-     * manager => 0). */
+    /** Bytes of the final checkpoint file (0 without a path). */
     std::size_t checkpointBytes = 0;
     ListenerStats listener;
 };
@@ -126,7 +133,7 @@ class Daemon : private FrameHandler
     bool finished() const;
 
     /** Wait for shutdown (or the configured duration), write the
-     * final checkpoint frame, and summarise the run. */
+     * final checkpoint, and summarise the run. */
     DaemonSummary join();
 
   private:
@@ -164,11 +171,14 @@ class Daemon : private FrameHandler
         std::vector<double> p99Ms;
         std::vector<double> observedRps;
         double powerW = 0.0;
+        /** Wall time this interval's arrival window spanned. */
+        double windowS = 0.0;
     };
     std::vector<IntervalRecord> ring_;
     std::size_t ringNext_ = 0;
     std::size_t ringFill_ = 0;
     std::size_t intervals_ = 0;
+    std::size_t overruns_ = 0;
     double wallSeconds_ = 0.0;
 
     std::thread controlThread_;

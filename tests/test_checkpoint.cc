@@ -1,8 +1,11 @@
-/** @file Unit tests for the framed binary checkpoints (nn + rl). */
+/** @file Unit tests for the BDQ checkpoint format (rl/checkpoint.hh):
+ * round trips, diagnostics, and exhaustive single-byte-flip and
+ * truncation corruption of one small trained checkpoint. */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -10,8 +13,6 @@
 
 #include "common/error.hh"
 #include "common/rng.hh"
-#include "nn/checkpoint.hh"
-#include "nn/mlp.hh"
 #include "rl/bdq_learner.hh"
 #include "rl/checkpoint.hh"
 
@@ -41,16 +42,6 @@ writeFileBytes(const std::string &path, const std::string &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
-}
-
-nn::MlpConfig
-smallMlp()
-{
-    nn::MlpConfig cfg;
-    cfg.inputDim = 4;
-    cfg.hidden = {8, 6};
-    cfg.outputDim = 2;
-    return cfg;
 }
 
 rl::BdqLearnerConfig
@@ -85,67 +76,57 @@ someTransition(double reward)
     return t;
 }
 
+/** The checkpoint of a small learner trained away from its
+ * initialisation. */
+std::string
+trainedCheckpoint()
+{
+    Rng rng(3);
+    rl::BdqLearner learner(smallLearner(), rng);
+    for (int i = 0; i < 30; ++i)
+        learner.observe(someTransition(0.1 * i));
+    std::ostringstream out;
+    rl::saveCheckpoint(learner, out, "trained");
+    return out.str();
+}
+
+/** The learner's raw online-network parameters. */
+std::string
+paramBytes(const rl::BdqLearner &learner)
+{
+    std::ostringstream out;
+    learner.save(out);
+    return out.str();
+}
+
+/** Greedy actions of @p learner on a few fixed probe states. */
+std::vector<std::vector<nn::BranchActions>>
+probeActions(rl::BdqLearner &learner)
+{
+    std::vector<std::vector<nn::BranchActions>> out;
+    for (int i = 0; i < 4; ++i)
+        out.push_back(learner.greedyActions(
+            std::vector<float>(6, 0.3f * static_cast<float>(i) - 0.4f)));
+    return out;
+}
+
+/** Load @p bytes into @p learner; true when the loader refused them
+ * (FatalError), with the diagnosis in @p msg. */
+bool
+rejected(rl::BdqLearner &learner, const std::string &bytes,
+         std::string &msg)
+{
+    std::istringstream in(bytes);
+    try {
+        rl::loadCheckpoint(learner, in, "mutant");
+    } catch (const FatalError &err) {
+        msg = err.what();
+        return true;
+    }
+    return false;
+}
+
 } // namespace
-
-TEST(MlpCheckpoint, RoundTripReproducesOutputs)
-{
-    const std::string path = tmpPath("mlp_roundtrip.ckpt");
-    Rng rng_a(1);
-    nn::Mlp a(smallMlp(), rng_a);
-    nn::saveMlpCheckpoint(a, path);
-
-    // Differently-seeded initialisation: outputs disagree until the
-    // checkpoint is restored, then match bit-for-bit.
-    Rng rng_b(2);
-    nn::Mlp b(smallMlp(), rng_b);
-    const std::vector<float> x = {0.1f, -0.4f, 0.7f, 0.2f};
-    EXPECT_NE(a.predictOne(x), b.predictOne(x));
-    nn::loadMlpCheckpoint(b, path);
-    EXPECT_EQ(a.predictOne(x), b.predictOne(x));
-}
-
-TEST(MlpCheckpoint, RejectsArchitectureMismatch)
-{
-    const std::string path = tmpPath("mlp_shape.ckpt");
-    Rng rng(1);
-    nn::Mlp a(smallMlp(), rng);
-    nn::saveMlpCheckpoint(a, path);
-
-    auto wrong = smallMlp();
-    wrong.hidden = {8, 7};
-    Rng rng_b(1);
-    nn::Mlp b(wrong, rng_b);
-    EXPECT_THROW(nn::loadMlpCheckpoint(b, path), FatalError);
-}
-
-TEST(MlpCheckpoint, RejectsTruncationAndTrailingGarbage)
-{
-    const std::string path = tmpPath("mlp_corrupt.ckpt");
-    Rng rng(1);
-    nn::Mlp a(smallMlp(), rng);
-    nn::saveMlpCheckpoint(a, path);
-    const std::string good = readFileBytes(path);
-
-    Rng rng_b(2);
-    nn::Mlp b(smallMlp(), rng_b);
-    writeFileBytes(path, good.substr(0, good.size() - 8));
-    EXPECT_THROW(nn::loadMlpCheckpoint(b, path), FatalError);
-    writeFileBytes(path, good + "junk");
-    EXPECT_THROW(nn::loadMlpCheckpoint(b, path), FatalError);
-
-    std::string bad_magic = good;
-    bad_magic[0] = 'X';
-    writeFileBytes(path, bad_magic);
-    EXPECT_THROW(nn::loadMlpCheckpoint(b, path), FatalError);
-}
-
-TEST(MlpCheckpoint, RejectsMissingFile)
-{
-    Rng rng(1);
-    nn::Mlp m(smallMlp(), rng);
-    EXPECT_THROW(nn::loadMlpCheckpoint(m, tmpPath("no_such.ckpt")),
-                 FatalError);
-}
 
 TEST(BdqCheckpoint, RoundTripReproducesPolicy)
 {
@@ -181,24 +162,57 @@ TEST(BdqCheckpoint, RejectsArchitectureMismatch)
     EXPECT_THROW(rl::loadCheckpoint(b, path), FatalError);
 }
 
-TEST(BdqCheckpoint, RejectsWrongNetworkFamily)
+TEST(BdqCheckpoint, RejectsMissingFile)
 {
-    // An Mlp checkpoint must not restore into a BDQ learner even if
-    // the byte count happened to line up.
-    const std::string path = tmpPath("family.ckpt");
-    Rng rng_m(1);
-    nn::Mlp mlp(smallMlp(), rng_m);
-    nn::saveMlpCheckpoint(mlp, path);
+    Rng rng(1);
+    rl::BdqLearner learner(smallLearner(), rng);
+    EXPECT_THROW(rl::loadCheckpoint(learner, tmpPath("no_such.ckpt")),
+                 FatalError);
+}
 
-    Rng rng_l(1);
-    rl::BdqLearner learner(smallLearner(), rng_l);
+TEST(BdqCheckpoint, RejectsTruncationAndTrailingGarbage)
+{
+    const std::string path = tmpPath("bdq_corrupt.ckpt");
+    Rng rng(1);
+    rl::BdqLearner a(smallLearner(), rng);
+    rl::saveCheckpoint(a, path);
+    const std::string good = readFileBytes(path);
+
+    Rng rng_b(2);
+    rl::BdqLearner b(smallLearner(), rng_b);
+    writeFileBytes(path, good.substr(0, good.size() - 8));
+    EXPECT_THROW(rl::loadCheckpoint(b, path), FatalError);
+    writeFileBytes(path, good + "junk");
+    EXPECT_THROW(rl::loadCheckpoint(b, path), FatalError);
+}
+
+TEST(BdqCheckpoint, RejectsVersion1File)
+{
+    // Version 1 had a u32 network-kind field after the version and no
+    // checksum. Such a file is refused by its version, whatever it
+    // holds.
+    const std::string path = tmpPath("v1.ckpt");
+    Rng rng_a(1);
+    rl::BdqLearner a(smallLearner(), rng_a);
+    rl::saveCheckpoint(a, path);
+    const std::string v2 = readFileBytes(path);
+    const std::uint32_t version = 1;
+    const std::uint32_t kind_bdq = 2;
+    std::string v1 = v2.substr(0, 8);
+    v1.append(reinterpret_cast<const char *>(&version), 4);
+    v1.append(reinterpret_cast<const char *>(&kind_bdq), 4);
+    v1.append(v2.substr(12, v2.size() - 12 - 8));
+    writeFileBytes(path, v1);
+
+    Rng rng_b(2);
+    rl::BdqLearner b(smallLearner(), rng_b);
     try {
-        rl::loadCheckpoint(learner, path);
+        rl::loadCheckpoint(b, path);
         FAIL() << "expected FatalError";
     } catch (const FatalError &err) {
         const std::string msg = err.what();
-        // The wrong-kind diagnosis names what a BDQ restore expects.
-        EXPECT_NE(msg.find("expected kind 2"), std::string::npos)
+        EXPECT_NE(msg.find("unsupported checkpoint version 1"),
+                  std::string::npos)
             << msg;
         EXPECT_NE(msg.find(path), std::string::npos) << msg;
     }
@@ -208,16 +222,16 @@ TEST(CheckpointErrors, BadMagicReportsPathAndBytes)
 {
     const std::string path = tmpPath("bad_magic.ckpt");
     Rng rng(1);
-    nn::Mlp a(smallMlp(), rng);
-    nn::saveMlpCheckpoint(a, path);
+    rl::BdqLearner a(smallLearner(), rng);
+    rl::saveCheckpoint(a, path);
     std::string bytes = readFileBytes(path);
     bytes[0] = 'X'; // "XWIGCKPT"
     writeFileBytes(path, bytes);
 
     Rng rng_b(2);
-    nn::Mlp b(smallMlp(), rng_b);
+    rl::BdqLearner b(smallLearner(), rng_b);
     try {
-        nn::loadMlpCheckpoint(b, path);
+        rl::loadCheckpoint(b, path);
         FAIL() << "expected FatalError";
     } catch (const FatalError &err) {
         const std::string msg = err.what();
@@ -234,9 +248,9 @@ TEST(CheckpointErrors, TruncatedMagicIsDiagnosedAsTruncation)
     const std::string path = tmpPath("tiny.ckpt");
     writeFileBytes(path, "TWI");
     Rng rng(1);
-    nn::Mlp m(smallMlp(), rng);
+    rl::BdqLearner learner(smallLearner(), rng);
     try {
-        nn::loadMlpCheckpoint(m, path);
+        rl::loadCheckpoint(learner, path);
         FAIL() << "expected FatalError";
     } catch (const FatalError &err) {
         const std::string msg = err.what();
@@ -263,6 +277,11 @@ TEST(BdqCheckpoint, StreamRoundTripMatchesFileRoundTrip)
         const std::vector<float> state(6, 0.2f * static_cast<float>(i));
         EXPECT_EQ(a.greedyActions(state), b.greedyActions(state));
     }
+
+    // One format: the stream bytes are the file bytes.
+    const std::string path = tmpPath("bdq_stream.ckpt");
+    rl::saveCheckpoint(a, path);
+    EXPECT_EQ(readFileBytes(path), out.str());
 }
 
 TEST(BdqCheckpoint, StreamLoadErrorsCarryTheContext)
@@ -285,4 +304,53 @@ TEST(BdqCheckpoint, StreamLoadErrorsCarryTheContext)
                   std::string::npos)
             << err.what();
     }
+}
+
+TEST(BdqCheckpoint, EverySingleByteFlipIsRejected)
+{
+    const std::string good = trainedCheckpoint();
+    Rng rng(9);
+    rl::BdqLearner learner(smallLearner(), rng);
+    const std::string params = paramBytes(learner);
+    const auto actions = probeActions(learner);
+    // Parameters and checksum occupy the tail of the file; the
+    // header before them is validated field by field.
+    const std::size_t params_begin =
+        good.size() - sizeof(std::uint64_t) - params.size();
+
+    std::string msg;
+    for (std::size_t i = 0; i < good.size(); ++i) {
+        std::string bad = good;
+        bad[i] = static_cast<char>(bad[i] ^ 0xff);
+        ASSERT_TRUE(rejected(learner, bad, msg)) << "flip at byte " << i;
+        if (i >= params_begin) {
+            EXPECT_NE(msg.find("checksum mismatch"), std::string::npos)
+                << "flip at byte " << i << ": " << msg;
+        }
+        ASSERT_EQ(paramBytes(learner), params) << "flip at byte " << i;
+        ASSERT_EQ(probeActions(learner), actions) << "flip at byte " << i;
+    }
+    // The unflipped bytes still load (the flips were the only fault).
+    EXPECT_FALSE(rejected(learner, good, msg)) << msg;
+    EXPECT_NE(paramBytes(learner), params);
+}
+
+TEST(BdqCheckpoint, EveryTruncationIsRejected)
+{
+    const std::string good = trainedCheckpoint();
+    Rng rng(9);
+    rl::BdqLearner learner(smallLearner(), rng);
+    const std::string params = paramBytes(learner);
+    const auto actions = probeActions(learner);
+
+    std::string msg;
+    for (std::size_t len = 0; len < good.size(); ++len) {
+        ASSERT_TRUE(rejected(learner, good.substr(0, len), msg))
+            << "truncated to " << len << " bytes";
+        EXPECT_NE(msg.find("truncated"), std::string::npos)
+            << "truncated to " << len << " bytes: " << msg;
+        ASSERT_EQ(paramBytes(learner), params) << "length " << len;
+        ASSERT_EQ(probeActions(learner), actions) << "length " << len;
+    }
+    EXPECT_FALSE(rejected(learner, good, msg)) << msg;
 }

@@ -1,12 +1,19 @@
 /** @file Integration tests for the live serving front-end
  * (src/serve/): an in-process daemon driven by the load client over
- * TCP loopback, graceful shutdown with a verifiable checkpoint frame,
- * and protocol-error handling at the socket edge. */
+ * TCP loopback, graceful shutdown with a shutdown checkpoint that
+ * warm-starts a fresh fleet, rate accounting when the control loop
+ * overruns its pacing, and protocol-error handling at the socket
+ * edge. */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -14,6 +21,9 @@
 #include <unistd.h>
 
 #include "common/error.hh"
+#include "core/twig_manager.hh"
+#include "harness/engine.hh"
+#include "harness/registry.hh"
 #include "harness/scenario.hh"
 #include "serve/daemon.hh"
 #include "serve/load_client.hh"
@@ -42,6 +52,27 @@ smallSpec()
     spec.nodes = 2;
     spec.policy = "p2c-latency";
     return spec;
+}
+
+std::string
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Node @p n's manager of a fresh fleet built from @p spec, re-saved
+ * as a checkpoint: the bytes that fleet would warm-start from. */
+std::string
+freshNodeCheckpoint(const harness::ScenarioSpec &spec, std::size_t n,
+                    const std::string &path)
+{
+    const auto setup = harness::buildFleet(
+        spec, harness::ManagerRegistry::builtin(), 1);
+    dynamic_cast<core::TwigManager &>(setup.fleet->node(n).manager())
+        .saveCheckpoint(path);
+    return readFileBytes(path);
 }
 
 } // namespace
@@ -95,15 +126,112 @@ TEST(Serve, LoopbackRoundTripAndGracefulShutdown)
     ASSERT_EQ(summary.observedRps.size(), 1u);
     EXPECT_GT(summary.observedRps[0], 0.0);
 
-    // The shutdown checkpoint is a valid checksummed frame holding a
-    // non-empty BDQ payload.
-    EXPECT_GT(summary.checkpointBytes, 0u);
-    std::string payload;
-    std::string error;
-    ASSERT_TRUE(serve::readCheckpointFile(ckpt_path, payload, error))
-        << error;
-    EXPECT_GT(payload.size(), 0u);
+    // The shutdown checkpoint loads into a fresh fleet's manager,
+    // which re-saves it byte for byte.
+    const std::string saved = readFileBytes(ckpt_path);
+    EXPECT_EQ(summary.checkpointBytes, saved.size());
+    auto spec = smallSpec();
+    spec.checkpoint = ckpt_path;
+    const std::string resaved_path = ckpt_path + ".resaved";
+    EXPECT_TRUE(freshNodeCheckpoint(spec, 0, resaved_path) == saved)
+        << "re-saved checkpoint differs from the daemon's";
+    std::remove(resaved_path.c_str());
     std::remove(ckpt_path.c_str());
+}
+
+TEST(Serve, FinalCheckpointWarmStartsAFleetAndRejectsAFlippedByte)
+{
+    const std::string ckpt_path =
+        ::testing::TempDir() + "serve_donor_test.ckpt";
+    serve::DaemonOptions dopt;
+    dopt.intervalMs = 5.0;
+    dopt.durationS = 0.1;
+    dopt.finalCheckpoint = ckpt_path;
+    serve::Daemon daemon(smallSpec(), dopt);
+    daemon.start();
+    const auto summary = daemon.join();
+    const std::string saved = readFileBytes(ckpt_path);
+    ASSERT_EQ(summary.checkpointBytes, saved.size());
+
+    // The served fleet's node 0 is a donor, exactly as for
+    // `twig --checkpoint`: every node of the new fleet starts from it.
+    auto spec = smallSpec();
+    spec.checkpoint = ckpt_path;
+    const std::string scratch = ckpt_path + ".node";
+    EXPECT_TRUE(freshNodeCheckpoint(spec, 0, scratch) == saved);
+    EXPECT_TRUE(freshNodeCheckpoint(spec, 1, scratch) == saved);
+
+    // One flipped parameter byte is refused, and the refusal names
+    // the checksum.
+    std::string flipped = saved;
+    flipped[flipped.size() / 2] ^= 0x01;
+    const std::string bad_path = ckpt_path + ".bad";
+    {
+        std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+        out.write(flipped.data(),
+                  static_cast<std::streamsize>(flipped.size()));
+    }
+    spec.checkpoint = bad_path;
+    try {
+        freshNodeCheckpoint(spec, 0, scratch);
+        ADD_FAILURE() << "a flipped checkpoint warm-started a fleet";
+    } catch (const common::FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("checksum"),
+                  std::string::npos)
+            << err.what();
+    }
+    std::remove(scratch.c_str());
+    std::remove(bad_path.c_str());
+    std::remove(ckpt_path.c_str());
+}
+
+TEST(Serve, ObservedRateHoldsWhenTheControlLoopOverruns)
+{
+    // A 0.25 ms pacing that a learning 2-node fleet's step cannot
+    // keep: late ticks re-anchor the schedule, so each arrival window
+    // spans more wall time than the nominal interval. Dividing by the
+    // nominal interval overstates the load by that stretch factor;
+    // dividing by the measured span matches what the client offered.
+    const double interval_ms = 0.25;
+    serve::DaemonOptions dopt;
+    dopt.intervalMs = interval_ms;
+    dopt.windowIntervals = 1000; // the whole run, unless it is slow
+    serve::Daemon daemon(smallSpec(), dopt);
+    daemon.start();
+
+    // The daemon stops while the client is still sending (its close
+    // ends the client's run early), so the summary window holds no
+    // idle tail after the client's last batch.
+    serve::LoadClientOptions copt;
+    copt.port = daemon.port();
+    copt.connections = 1;
+    copt.rps = 20000.0;
+    copt.durationS = 5.0;
+    copt.statsIntervalS = 0.0;
+    serve::LoadClientReport report;
+    std::thread client([&] { report = serve::runLoadClient(copt); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    daemon.requestShutdown();
+    const auto summary = daemon.join();
+    client.join();
+    ASSERT_GT(report.sent, 0u);
+
+    EXPECT_GT(summary.overruns, 0u);
+    // The stretch is large (about 7x in an optimised build, more under
+    // sanitizers), so nominal-interval accounting could not pass the
+    // tolerance below.
+    const double stretch = summary.wallSeconds * 1e3 /
+        (interval_ms * static_cast<double>(summary.intervals));
+    EXPECT_GT(stretch, 2.0);
+    // Observed rate within 10 % of the client's realised rate. Both
+    // span nearly the same wall time; the gap is the client's connect
+    // time and arrivals a stalled event thread moves across the
+    // window's edges on a busy host.
+    ASSERT_EQ(summary.observedRps.size(), 1u);
+    EXPECT_NEAR(summary.observedRps[0], report.offeredRps,
+                0.1 * report.offeredRps)
+        << "stretch " << stretch << ", " << summary.overruns << " of "
+        << summary.intervals << " intervals overran";
 }
 
 TEST(Serve, GarbageBytesDisconnectWithoutHarm)

@@ -10,8 +10,9 @@
  * arrival window into per-service RPS and steps the fleet one control
  * interval, so the per-node BDQ policies run online against measured
  * load. SIGINT/SIGTERM (or --duration-s elapsing) shuts down
- * gracefully: in-flight connections drain, the final BDQ state is
- * written as a checksummed Checkpoint frame, and the exit code is 0.
+ * gracefully: in-flight connections drain, node 0's BDQ is written as
+ * a checkpoint file (a warm-start donor for `twig --checkpoint`), and
+ * the exit code is 0.
  *
  * Examples:
  *   twig_serve --scenario scenarios/serve.json
@@ -68,8 +69,8 @@ makeParser(Options &opt)
                     "summary window in intervals (default: the "
                     "scenario's)");
     parser.addString("--final-checkpoint", &opt.finalCheckpoint,
-                     "write node 0's BDQ as a checksummed Checkpoint "
-                     "frame at shutdown");
+                     "write node 0's BDQ checkpoint at shutdown "
+                     "(a donor for twig --checkpoint)");
     return parser;
 }
 
@@ -137,8 +138,10 @@ main(int argc, char **argv)
     }
 
     const auto summary = daemon.join();
-    std::printf("twig_serve: %zu intervals over %.2f s wall\n",
-                summary.intervals, summary.wallSeconds);
+    std::printf("twig_serve: %zu intervals over %.2f s wall "
+                "(%zu overran the %.3g ms pacing)\n",
+                summary.intervals, summary.wallSeconds,
+                summary.overruns, opt.intervalMs);
     std::printf("  accepted %llu requests (%.0f req/s) over %llu "
                 "frames from %llu connections\n",
                 static_cast<unsigned long long>(
@@ -163,7 +166,7 @@ main(int argc, char **argv)
                 "intervals\n",
                 m.meanPowerW, m.windowSteps);
     if (summary.checkpointBytes != 0) {
-        std::printf("  final checkpoint frame: %s (%zu bytes)\n",
+        std::printf("  final checkpoint: %s (%zu bytes)\n",
                     opt.finalCheckpoint.c_str(),
                     summary.checkpointBytes);
     }
