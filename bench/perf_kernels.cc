@@ -11,9 +11,15 @@
  * zero-gradient parameters decayed into the subnormals), plus one full
  * BdqLearner::trainStep().
  *
+ * A second table times the 17 GEMM shapes of one fast-preset training
+ * step (forward, dW and dX) in GMAC/s against the same reference
+ * loops, and a fast-preset trainStep() row follows the paper-net one.
+ *
  * Also checks bit-identity: the Adam kernel against
- * nn::reference::adamStep over the warm-up, and each column-tail GEMM
- * against the same product on B zero-padded to whole 16-column tiles.
+ * nn::reference::adamStep over the warm-up, each column-tail GEMM
+ * against the same product on B zero-padded to whole 16-column tiles,
+ * and the strided (unpacked) A^T products against the row-major
+ * product of an explicitly transposed copy.
  *
  * Emits a human-readable table and machine-readable JSON
  * (BENCH_kernels.json, or --out PATH).
@@ -29,9 +35,11 @@
 
 #include "bench/bench_util.hh"
 #include "common/rng.hh"
+#include "core/twig_manager.hh"
 #include "nn/adam.hh"
 #include "nn/matrix.hh"
 #include "rl/bdq_learner.hh"
+#include "sim/pmc.hh"
 
 using namespace twig;
 using nn::Matrix;
@@ -58,6 +66,21 @@ const Shape kShapes[] = {
     {"f_adv18", 64, 18, 32},  // fast: advantage output, 18 cores
     {"f_value", 32, 1, 32},   // fast: state-value output
     {"f_agrad", 32, 9, 64},   // fast: DVFS advantage weight gradient
+};
+
+// The 17 GEMMs of one fast-preset training step (TwigConfig::fast, two
+// services: minibatch 32, 2 x 11 state features, trunk 64, heads 32,
+// branches of 18 and 9 actions; the branch modules run on the K*B = 64
+// stacked rows). "fwd" is a Linear forward (C = x W + b), "dW" its
+// weight-gradient accumulation (C += x^T dy, k = the batch rows), "dX"
+// its input gradient (C = dy W^T); the first layer has no dX.
+const Shape kFastStep[] = {
+    {"fwd", 32, 64, 22}, {"fwd", 32, 32, 64}, {"fwd", 32, 1, 32},
+    {"fwd", 64, 32, 32}, {"fwd", 64, 18, 32}, {"fwd", 64, 9, 32},
+    {"dW", 22, 64, 32},  {"dW", 64, 32, 32},  {"dW", 32, 1, 32},
+    {"dW", 32, 32, 64},  {"dW", 32, 18, 64},  {"dW", 32, 9, 64},
+    {"dX", 32, 64, 32},  {"dX", 32, 32, 1},   {"dX", 64, 32, 32},
+    {"dX", 64, 32, 18},  {"dX", 64, 32, 9},
 };
 
 double
@@ -141,6 +164,79 @@ benchOp(const Shape &s, const char *op, common::Rng &rng)
     }
     g_sink = out(0, 0);
     return row;
+}
+
+/** One training-step GEMM, timed as the learner calls it. */
+Row
+benchStepGemm(const Shape &s, common::Rng &rng)
+{
+    Matrix out;
+    Row row{s.name, "", s.m, s.n, s.k, 0.0, 0.0};
+    const std::string op = s.name;
+    if (op == "fwd") {
+        Matrix x(s.m, s.k), w(s.k, s.n);
+        fillRandom(x, rng);
+        fillRandom(w, rng);
+        const std::vector<float> bias(s.n, 0.5f);
+        row.tiledUs = timeUs([&] { nn::matmulBias(x, w, bias, out); });
+        row.referenceUs =
+            timeUs([&] { nn::reference::matmul(x, w, out); });
+    } else if (op == "dW") {
+        Matrix x(s.k, s.m), dy(s.k, s.n);
+        fillRandom(x, rng);
+        fillRandom(dy, rng);
+        Matrix grad(s.m, s.n, 0.0f);
+        row.tiledUs =
+            timeUs([&] { nn::matmulTransposeAAccum(x, dy, grad); });
+        row.referenceUs =
+            timeUs([&] { nn::reference::matmulTransposeA(x, dy, out); });
+        out = grad;
+    } else {
+        Matrix dy(s.m, s.k), w(s.n, s.k);
+        fillRandom(dy, rng);
+        fillRandom(w, rng);
+        row.tiledUs = timeUs([&] { nn::matmulTransposeB(dy, w, out); });
+        row.referenceUs =
+            timeUs([&] { nn::reference::matmulTransposeB(dy, w, out); });
+    }
+    g_sink = out(0, 0);
+    return row;
+}
+
+/** Billions of multiply-adds per second of an m x n x k GEMM. */
+double
+gmacs(const Row &r, double us)
+{
+    return static_cast<double>(r.m * r.n * r.k) / us * 1e-3;
+}
+
+/**
+ * Whether matmulTransposeA and matmulTransposeAAccum, which read A^T
+ * through strides, match bit for bit the row-major product of an
+ * explicitly transposed copy of A (plus the prior contents, for the
+ * accumulating form).
+ */
+bool
+stridedMatchesPacked(const Shape &s, common::Rng &rng)
+{
+    Matrix a(s.k, s.m), b(s.k, s.n), at(s.m, s.k), prior(s.m, s.n);
+    fillRandom(a, rng);
+    fillRandom(b, rng);
+    fillRandom(prior, rng);
+    for (std::size_t p = 0; p < s.k; ++p)
+        for (std::size_t i = 0; i < s.m; ++i)
+            at(i, p) = a(p, i);
+    Matrix want, got, accum = prior;
+    nn::matmul(at, b, want);
+    nn::matmulTransposeA(a, b, got);
+    nn::matmulTransposeAAccum(a, b, accum);
+    bool ok = std::memcmp(want.data(), got.data(),
+                          want.size() * sizeof(float)) == 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const float sum = prior.data()[i] + want.data()[i];
+        ok = ok && std::memcmp(&sum, accum.data() + i, sizeof sum) == 0;
+    }
+    return ok;
 }
 
 /**
@@ -275,9 +371,9 @@ benchAdam(std::uint64_t seed)
     return row;
 }
 
-/** Paper-sized learner (§IV) at minibatch 64, replay pre-filled. */
-double
-benchTrainStep(std::uint64_t seed)
+/** Paper-sized learner (§IV) at minibatch 64. */
+rl::BdqLearnerConfig
+paperLearner()
 {
     rl::BdqLearnerConfig cfg;
     cfg.net.numAgents = 2;
@@ -288,8 +384,29 @@ benchTrainStep(std::uint64_t seed)
     cfg.net.branchActions = {18, 10}; // cores, DVFS states
     cfg.net.dropoutRate = 0.0f;
     cfg.minibatch = 64;
+    return cfg;
+}
+
+/** The fast preset's learner as TwigManager sizes it for two services
+ * on the 18-core machine (the kFastStep shapes). */
+rl::BdqLearnerConfig
+fastLearner()
+{
+    rl::BdqLearnerConfig cfg = core::TwigConfig::fast(2000).learner;
+    cfg.net.numAgents = 2;
+    cfg.net.stateDimPerAgent = sim::kNumPmcs;
+    cfg.net.branchActions = {18, 9};
+    return cfg;
+}
+
+/** One trainStep() of @p cfg's learner, replay pre-filled. */
+double
+benchTrainStep(rl::BdqLearnerConfig cfg, std::uint64_t seed)
+{
     cfg.replay.capacity = 4096;
     cfg.minReplayBeforeTraining = 64;
+    const std::size_t cores = cfg.net.branchActions[0];
+    const std::size_t dvfs = cfg.net.branchActions[1];
 
     common::Rng rng(seed);
     rl::BdqLearner learner(cfg, rng);
@@ -301,7 +418,7 @@ benchTrainStep(std::uint64_t seed)
         t.nextState = t.state;
         for (std::size_t k = 0; k < cfg.net.numAgents; ++k) {
             t.actions.push_back(
-                {env.uniformInt(18), env.uniformInt(10)});
+                {env.uniformInt(cores), env.uniformInt(dvfs)});
             t.rewards.push_back(env.uniform());
         }
         learner.observe(t);
@@ -346,6 +463,29 @@ main(int argc, char **argv)
                 "tiles: %s\n",
                 tail_equal ? "yes" : "NO");
 
+    bool strided_equal = true;
+    for (const auto &s : kShapes)
+        strided_equal = strided_equal && stridedMatchesPacked(s, rng);
+    for (const auto &s : kFastStep)
+        strided_equal = strided_equal && stridedMatchesPacked(s, rng);
+    std::printf("strided A^T GEMMs bit-identical to the product of a "
+                "transposed copy: %s\n",
+                strided_equal ? "yes" : "NO");
+
+    std::printf("\nfast-preset training step: its 17 GEMM shapes\n");
+    std::printf("%-5s %18s %11s %9s %13s %9s %9s\n", "op", "m x n x k",
+                "tiled(us)", "GMAC/s", "naive(us)", "GMAC/s", "speedup");
+    std::vector<Row> step_rows;
+    for (const auto &s : kFastStep) {
+        step_rows.push_back(benchStepGemm(s, rng));
+        const Row &r = step_rows.back();
+        std::printf("%-5s %6zu x %4zu x %4zu %11.2f %9.2f %13.2f %9.2f "
+                    "%8.2fx\n",
+                    r.shape.c_str(), r.m, r.n, r.k, r.tiledUs,
+                    gmacs(r, r.tiledUs), r.referenceUs,
+                    gmacs(r, r.referenceUs), r.speedup());
+    }
+
     const AdamRow adam = benchAdam(args.seed);
     std::printf("\nAdam, %zu params warmed 1000 steps (%.0f%% zero "
                 "gradients, %.0f%% of m subnormal): kernel %.2f ns/param, "
@@ -354,10 +494,14 @@ main(int argc, char **argv)
                 adam.kernelNs, adam.referenceNs, adam.speedup(),
                 adam.bitwiseEqual ? "yes" : "NO");
 
-    const double train_us = benchTrainStep(args.seed);
+    const double train_us = benchTrainStep(paperLearner(), args.seed);
     std::printf("\nBdqLearner::trainStep (paper net, batch 64): "
                 "%.1f us\n",
                 train_us);
+    const double fast_train_us = benchTrainStep(fastLearner(), args.seed);
+    std::printf("BdqLearner::trainStep (fast preset, batch 32): "
+                "%.1f us\n",
+                fast_train_us);
 
     double log_sum = 0.0;
     double min_speedup = 1e300;
@@ -389,6 +533,19 @@ main(int argc, char **argv)
                      r.tiledUs, r.referenceUs, r.speedup(),
                      i + 1 < rows.size() ? "," : "");
     }
+    std::fprintf(f, "  ],\n  \"fast_step_gemms\": [\n");
+    for (std::size_t i = 0; i < step_rows.size(); ++i) {
+        const Row &r = step_rows[i];
+        std::fprintf(f,
+                     "    {\"op\": \"%s\", \"m\": %zu, \"n\": %zu, "
+                     "\"k\": %zu, \"tiled_us\": %.3f, "
+                     "\"reference_us\": %.3f, \"tiled_gmacs\": %.3f, "
+                     "\"reference_gmacs\": %.3f}%s\n",
+                     r.shape.c_str(), r.m, r.n, r.k, r.tiledUs,
+                     r.referenceUs, gmacs(r, r.tiledUs),
+                     gmacs(r, r.referenceUs),
+                     i + 1 < step_rows.size() ? "," : "");
+    }
     std::fprintf(f,
                  "  ],\n  \"adam\": {\"params\": %zu, "
                  "\"warm_steps\": 1000, \"zero_grad_pct\": %.1f, "
@@ -397,13 +554,17 @@ main(int argc, char **argv)
                  "\"speedup\": %.3f},\n"
                  "  \"adam_bitwise_equal\": %s,\n"
                  "  \"gemm_tail_bitwise_equal\": %s,\n"
+                 "  \"gemm_strided_bitwise_equal\": %s,\n"
                  "  \"train_step_us\": %.3f,\n"
+                 "  \"fast_train_step_us\": %.3f,\n"
                  "  \"geomean_speedup\": %.3f,\n"
                  "  \"min_speedup\": %.3f\n}\n",
                  adam.params, adam.zeroGradPct, adam.subnormalMPct,
                  adam.kernelNs, adam.referenceNs, adam.speedup(),
                  adam.bitwiseEqual ? "true" : "false",
-                 tail_equal ? "true" : "false", train_us, geomean,
+                 tail_equal ? "true" : "false",
+                 strided_equal ? "true" : "false", train_us, fast_train_us,
+                 geomean,
                  min_speedup);
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());

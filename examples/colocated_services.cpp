@@ -64,20 +64,17 @@ main(int argc, char **argv)
     harness::RunOptions opt;
     opt.steps = steps;
     opt.summaryWindow = steps / 5;
-    opt.onStep = [&](std::size_t step,
-                     const sim::ServerIntervalStats &stats) {
-        if ((step + 1) % (steps / 8) == 0) {
-            std::printf("  step %5zu  masstree %5.1f ms (%4.1f cores) "
-                        "| moses %5.1f ms (%4.1f cores) | %5.1f W\n",
-                        step + 1, stats.services[0].p99Ms,
-                        stats.services[0].effectiveCores,
-                        stats.services[1].p99Ms,
-                        stats.services[1].effectiveCores,
-                        stats.socketPowerW);
-        }
-    };
+    opt.recordTrace = true;
 
     const auto result = runner.run(opt);
+    for (const auto &rec : result.trace) {
+        if ((rec.step + 1) % (steps / 8) == 0) {
+            std::printf("  step %5zu  masstree %5.1f ms (%2zu cores) "
+                        "| moses %5.1f ms (%2zu cores) | %5.1f W\n",
+                        rec.step + 1, rec.p99Ms[0], rec.cores[0],
+                        rec.p99Ms[1], rec.cores[1], rec.socketPowerW);
+        }
+    }
     std::printf("\nover the last %zu steps:\n",
                 result.metrics.windowSteps);
     for (const auto &svc : result.metrics.services) {

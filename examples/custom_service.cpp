@@ -103,21 +103,18 @@ main()
     harness::RunOptions opt;
     opt.steps = steps;
     opt.summaryWindow = 400; // one full diurnal period
-    opt.onStep = [&](std::size_t step,
-                     const sim::ServerIntervalStats &stats) {
-        if ((step + 1) % 200 == 0) {
-            std::printf("  step %4zu  load %4.0f%%  p99 %6.1f ms  "
-                        "cores %4.1f @ %.1f GHz  %5.1f W\n",
-                        step + 1,
-                        100.0 * stats.services[0].offeredRps /
-                            profile.maxLoadRps,
-                        stats.services[0].p99Ms,
-                        stats.services[0].effectiveCores,
-                        stats.services[0].freqGhz,
-                        stats.socketPowerW);
-        }
-    };
+    opt.recordTrace = true;
     const auto result = runner.run(opt);
+    for (const auto &rec : result.trace) {
+        if ((rec.step + 1) % 200 == 0) {
+            std::printf("  step %4zu  load %4.0f%%  p99 %6.1f ms  "
+                        "cores %2zu @ %.1f GHz  %5.1f W\n",
+                        rec.step + 1,
+                        100.0 * rec.offeredRps[0] / profile.maxLoadRps,
+                        rec.p99Ms[0], rec.cores[0],
+                        machine.dvfs.freq(rec.dvfs[0]), rec.socketPowerW);
+        }
+    }
     std::printf("\nlast diurnal period: QoS guarantee %.1f%%, mean "
                 "power %.1f W\n",
                 result.metrics.services[0].qosGuaranteePct,

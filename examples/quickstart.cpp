@@ -66,19 +66,19 @@ main(int argc, char **argv)
     harness::RunOptions options;
     options.steps = steps;
     options.summaryWindow = steps / 5;
-    options.onStep = [&](std::size_t step,
-                         const sim::ServerIntervalStats &stats) {
-        if ((step + 1) % (steps / 10) == 0) {
-            std::printf("  step %5zu  eps=%.2f  p99=%7.1f ms  "
-                        "power=%5.1f W  cores=%4.1f @ %.1f GHz\n",
-                        step + 1, twig.learner().epsilon(),
-                        stats.services[0].p99Ms, stats.socketPowerW,
-                        stats.services[0].effectiveCores,
-                        stats.services[0].freqGhz);
-        }
-    };
+    options.recordTrace = true;
 
     const auto result = runner.run(options);
+    for (const auto &rec : result.trace) {
+        if ((rec.step + 1) % (steps / 10) == 0) {
+            std::printf("  step %5zu  p99=%7.1f ms  power=%5.1f W  "
+                        "cores=%2zu @ %.1f GHz\n",
+                        rec.step + 1, rec.p99Ms[0], rec.socketPowerW,
+                        rec.cores[0], machine.dvfs.freq(rec.dvfs[0]));
+        }
+    }
+    std::printf("final exploration rate: %.2f\n",
+                twig.learner().epsilon());
     const auto &m = result.metrics.services[0];
     std::printf("\nover the last %zu steps:\n", result.metrics.windowSteps);
     std::printf("  QoS guarantee : %.1f %%\n", m.qosGuaranteePct);

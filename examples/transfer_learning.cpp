@@ -69,19 +69,18 @@ main(int argc, char **argv)
     harness::RunOptions adapt;
     adapt.steps = adapt_steps;
     adapt.summaryWindow = adapt_steps / 4;
-    std::size_t met = 0, n = 0;
-    adapt.onStep = [&](std::size_t step,
-                       const sim::ServerIntervalStats &stats) {
-        met += stats.services[0].p99Ms <= moses.qosTargetMs ? 1 : 0;
-        ++n;
-        if ((step + 1) % (adapt_steps / 8) == 0) {
+    adapt.recordTrace = true;
+    const auto after = runner.run(adapt);
+    std::size_t met = 0;
+    for (const auto &rec : after.trace) {
+        met += rec.p99Ms[0] <= moses.qosTargetMs ? 1 : 0;
+        if ((rec.step + 1) % (adapt_steps / 8) == 0) {
             std::printf("  adapt step %4zu  QoS so far %5.1f%%  p99 "
                         "%.1f ms\n",
-                        step + 1, 100.0 * met / n,
-                        stats.services[0].p99Ms);
+                        rec.step + 1, 100.0 * met / (rec.step + 1),
+                        rec.p99Ms[0]);
         }
-    };
-    const auto after = runner.run(adapt);
+    }
     std::printf("\nafter %zu adaptation steps on %s: QoS guarantee "
                 "%.1f%% (window), power %.1f W\n",
                 adapt_steps, moses.name.c_str(),

@@ -27,9 +27,11 @@
 #
 # BENCH_kernels.json (perf_kernels): fails when adam_bitwise_equal is
 # not true -- the Adam kernel diverged from the seed's scalar loop over
-# the warmed-state run -- or gemm_tail_bitwise_equal is not true -- a
-# GEMM's n % 16 column tail summed differently from a full tile. Skipped
-# with a notice when absent, like the cluster artifact.
+# the warmed-state run -- gemm_tail_bitwise_equal is not true -- a
+# GEMM's n % 16 column tail summed differently from a full tile -- or
+# gemm_strided_bitwise_equal is not true -- an A^T product read through
+# strides differed from the product of a transposed copy. Skipped with
+# a notice when absent, like the cluster artifact.
 #
 # These are hard invariants, so CI runs this after bench_smoke instead
 # of trusting the benches' own exit codes alone (the artifacts are also
@@ -225,7 +227,8 @@ with open(path) as f:
     root = json.load(f)
 
 failures = 0
-for key in ("adam_bitwise_equal", "gemm_tail_bitwise_equal"):
+for key in ("adam_bitwise_equal", "gemm_tail_bitwise_equal",
+            "gemm_strided_bitwise_equal"):
     if root.get(key) is not True:
         print(f"check_bench: FAIL kernels: {key} is {root.get(key)!r}",
               file=sys.stderr)
@@ -235,7 +238,9 @@ print(f"check_bench: kernels: adam {adam.get('kernel_ns_per_param')} "
       f"ns/param ({adam.get('speedup')}x the seed loop, "
       f"{adam.get('subnormal_m_pct')}% of m subnormal) "
       f"adam_bitwise_equal={root.get('adam_bitwise_equal')} "
-      f"gemm_tail_bitwise_equal={root.get('gemm_tail_bitwise_equal')}")
+      f"gemm_tail_bitwise_equal={root.get('gemm_tail_bitwise_equal')} "
+      f"gemm_strided_bitwise_equal="
+      f"{root.get('gemm_strided_bitwise_equal')}")
 
 if failures:
     print(f"check_bench: {failures} invariant violation(s)", file=sys.stderr)

@@ -15,6 +15,11 @@
  * thread state exists -- so any TSan build that links a cloned kernel
  * would crash before main. Under TSan (and on non-GCC or non-x86
  * builds) the macro is empty and the default-ISA code is used.
+ *
+ * The GEMM kernel (nn/matrix.cc) needs a different tile type per ISA
+ * level, so it writes its versions out as target-attribute function
+ * multiversions instead; they use the same loader dispatch and exist
+ * exactly where TWIG_HAVE_KERNEL_CLONES is 1.
  */
 
 #ifndef TWIG_COMMON_KERNEL_CLONES_HH

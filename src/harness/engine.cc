@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 
 #include "common/error.hh"
 #include "common/json.hh"
@@ -399,7 +400,7 @@ Engine::runCluster(const ScenarioSpec &spec,
 namespace {
 
 common::Json
-jsonArray(const std::vector<double> &values)
+jsonArray(std::span<const double> values)
 {
     common::Json arr = common::Json::array();
     for (const double v : values)
@@ -410,8 +411,7 @@ jsonArray(const std::vector<double> &values)
 /** The `interval` line's fields common to both topologies. */
 common::Json
 intervalLine(std::size_t step, double power_w,
-             const std::vector<double> &rps,
-             const std::vector<double> &p99_ms)
+             std::span<const double> rps, std::span<const double> p99_ms)
 {
     common::Json line = common::Json::object();
     line.set("kind", "interval");

@@ -63,9 +63,6 @@ ExperimentRunner::run(const RunOptions &options)
                     server_.machine().intervalSeconds);
         }
 
-        if (options.onStep)
-            options.onStep(step, stats);
-
         manager_.decideInto(stats, requests);
     }
 

@@ -12,9 +12,9 @@
 #define TWIG_HARNESS_RUNNER_HH
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
+#include "common/inline_vector.hh"
 #include "core/mapper.hh"
 #include "core/task_manager.hh"
 #include "harness/metrics.hh"
@@ -22,15 +22,21 @@
 
 namespace twig::harness {
 
-/** One step of an experiment trace. */
+/** One step of an experiment trace. A run keeps one per interval, so
+ * the per-service values of up to two services (every colocation the
+ * paper runs) are held inline, with no heap block; more spill to the
+ * heap. */
 struct TraceRecord
 {
+    template <class T>
+    using PerService = common::InlineVector<T, 2>;
+
     std::size_t step = 0;
     /** Per-service requested cores / DVFS index for this interval. */
-    std::vector<std::size_t> cores;
-    std::vector<std::size_t> dvfs;
-    std::vector<double> p99Ms;
-    std::vector<double> offeredRps;
+    PerService<std::size_t> cores;
+    PerService<std::size_t> dvfs;
+    PerService<double> p99Ms;
+    PerService<double> offeredRps;
     double socketPowerW = 0.0;
 };
 
@@ -43,10 +49,6 @@ struct RunOptions
     std::size_t summaryWindow = 300;
     /** Record a per-step trace. */
     bool recordTrace = false;
-    /** Optional per-step hook (step, stats) for custom instrumentation;
-     * called after every interval. */
-    std::function<void(std::size_t, const sim::ServerIntervalStats &)>
-        onStep;
 };
 
 /** Result of a run. */

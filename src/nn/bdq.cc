@@ -38,25 +38,46 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
     lastBatch_ = batch;
     lastTrain_ = train;
 
+    // A train-mode pass keeps its activations for backward(), which
+    // reads them through the layers' input pointers. An evaluation pass
+    // (the target network's, a decision) writes them to per-thread
+    // scratch shared by every network on the thread, so a network that
+    // never trains never holds a set. The vectors only grow: networks
+    // of different shapes on one thread do not reallocate.
+    thread_local Activations eval_act;
+    Activations &act = train ? trainAct_ : eval_act;
+    const auto atLeast = [](std::vector<Matrix> &v, std::size_t n) {
+        if (v.size() < n)
+            v.resize(n);
+    };
+    atLeast(act.trunk, trunk_.size());
+    atLeast(act.trunkDrop, trunk_.size());
+    atLeast(act.embed, agents_.size());
+    atLeast(act.value, agents_.size());
+    atLeast(act.hidden, branches_.size());
+    atLeast(act.hiddenDrop, branches_.size());
+    atLeast(act.adv, branches_.size());
+
     // Shared trunk (linear+ReLU fused per stage).
     const Matrix *cur = &x;
-    for (auto &stage : trunk_) {
-        stage.linear.forwardRelu(*cur, stage.reluOut, stage.relu, train);
-        stage.dropout.forward(stage.reluOut, stage.dropOut, train, rng_);
-        cur = &stage.dropOut;
+    for (std::size_t s = 0; s < trunk_.size(); ++s) {
+        auto &stage = trunk_[s];
+        stage.linear.forwardRelu(*cur, act.trunk[s], stage.relu, train);
+        cur = &stage.dropout.forward(act.trunk[s], act.trunkDrop[s], train,
+                                     rng_);
     }
     const Matrix &h = *cur;
 
     // Per-agent state heads.
     const std::size_t hw = cfg_.agentHeadHidden;
-    stackedEmbeds_.resize(cfg_.numAgents * batch, hw);
+    act.stacked.resize(cfg_.numAgents * batch, hw);
     for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
         auto &agent = agents_[k];
-        agent.embed.forwardRelu(h, agent.embedAct, agent.relu, train);
-        agent.valueOut.forward(agent.embedAct, agent.value, train);
+        agent.embed.forwardRelu(h, act.embed[k], agent.relu, train);
+        agent.valueOut.forward(act.embed[k], act.value[k], train);
         for (std::size_t i = 0; i < batch; ++i) {
-            std::copy_n(agent.embedAct.rowPtr(i), hw,
-                        stackedEmbeds_.rowPtr(k * batch + i));
+            std::copy_n(act.embed[k].rowPtr(i), hw,
+                        act.stacked.rowPtr(k * batch + i));
         }
     }
 
@@ -72,21 +93,24 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
     }
     for (std::size_t d = 0; d < branches_.size(); ++d) {
         auto &br = branches_[d];
-        br.hidden.forwardRelu(stackedEmbeds_, br.hidAct, br.relu, train);
-        br.dropout.forward(br.hidAct, br.hidDrop, train, rng_);
-        br.advOut.forward(br.hidDrop, br.adv, train);
+        Matrix &adv = act.adv[d];
+        br.hidden.forwardRelu(act.stacked, act.hidden[d], br.relu, train);
+        br.advOut.forward(br.dropout.forward(act.hidden[d],
+                                             act.hiddenDrop[d], train,
+                                             rng_),
+                          adv, train);
 
         const std::size_t n = cfg_.branchActions[d];
         for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
             Matrix &q = out.q[k][d];
             q.resize(batch, n);
             for (std::size_t i = 0; i < batch; ++i) {
-                const float *adv_row = br.adv.rowPtr(k * batch + i);
+                const float *adv_row = adv.rowPtr(k * batch + i);
                 float mean = 0.0f;
                 for (std::size_t a = 0; a < n; ++a)
                     mean += adv_row[a];
                 mean /= static_cast<float>(n);
-                const float v = agents_[k].value(i, 0);
+                const float v = act.value[k](i, 0);
                 float *q_row = q.rowPtr(i);
                 for (std::size_t a = 0; a < n; ++a)
                     q_row[a] = v + adv_row[a] - mean;
@@ -112,7 +136,7 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
     d_stacked.resize(cfg_.numAgents * batch, hw);
     d_stacked.zero();
     Matrix &d_adv = bwdAdv_;
-    Matrix &g1 = bwdG1_, &g2 = bwdG2_, &g3 = bwdG3_, &g4 = bwdG4_;
+    Matrix &g1 = bwdG1_, &g2 = bwdG2_, &g3 = bwdG3_;
     for (std::size_t d = 0; d < branches_.size(); ++d) {
         auto &br = branches_[d];
         const std::size_t n = cfg_.branchActions[d];
@@ -141,10 +165,11 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
         // Paper: rescale the combined gradient by 1/K before it enters
         // the deepest layer in the advantage dimension.
         g1.scaleInPlace(inv_k);
-        br.dropout.backward(g1, g2);
-        br.relu.backward(g2, g3);
-        br.hidden.backward(g3, g4);
-        d_stacked.addInPlace(g4);
+        // The ReLU gradient overwrites g1 (in place when the dropout is
+        // the identity).
+        br.relu.backward(br.dropout.backward(g1, g2), g1);
+        br.hidden.backward(g1, g3);
+        d_stacked.addInPlace(g3);
     }
 
     // Per-agent heads: value path plus the agent's slice of d_stacked.
@@ -153,7 +178,7 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
     d_h.resize(batch, trunk_out);
     d_h.zero();
     Matrix &dv = bwdDv_, &gv = bwdGv_, &d_embed_act = bwdEmbedAct_,
-           &ge = bwdGe_, &gh = bwdGh_;
+           &gh = bwdGh_;
     dv.resize(batch, 1);
     d_embed_act.resize(batch, hw);
     for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
@@ -175,8 +200,8 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
             for (std::size_t c = 0; c < hw; ++c)
                 dst[c] = gvr[c] + sl[c];
         }
-        agent.relu.backward(d_embed_act, ge);
-        agent.embed.backward(ge, gh);
+        agent.relu.backward(d_embed_act, d_embed_act);
+        agent.embed.backward(d_embed_act, gh);
         d_h.addInPlace(gh);
     }
 
@@ -184,12 +209,13 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
     // by 1/D (number of action dimensions).
     d_h.scaleInPlace(inv_d);
 
-    // Trunk backward (deepest stage last), ping-ponging two buffers.
+    // Trunk backward (deepest stage last), ping-ponging two buffers;
+    // the ReLU gradient lands in *grad (in place when the dropout is
+    // the identity).
     Matrix *grad = &d_h, *tmp = &bwdTmp_;
     for (std::size_t s = trunk_.size(); s-- > 0;) {
         auto &stage = trunk_[s];
-        stage.dropout.backward(*grad, *tmp);
-        stage.relu.backward(*tmp, *grad);
+        stage.relu.backward(stage.dropout.backward(*grad, *tmp), *grad);
         if (s == 0) {
             stage.linear.backwardNoInputGrad(*grad);
         } else {

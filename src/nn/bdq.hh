@@ -154,9 +154,6 @@ class MultiAgentBdq
         Linear linear;
         ReLU relu;
         Dropout dropout;
-        // Cached activations; the linear+ReLU pair is fused, so only
-        // the post-ReLU and post-dropout activations materialise.
-        Matrix reluOut, dropOut;
         TrunkStage(std::size_t in, std::size_t out, float rate,
                    common::Rng &rng)
             : linear(in, out, rng), dropout(rate)
@@ -169,7 +166,6 @@ class MultiAgentBdq
         Linear embed;    // trunk -> H
         ReLU relu;
         Linear valueOut; // H -> 1
-        Matrix embedAct, value; // cached (embed+ReLU fused)
         AgentHead(std::size_t trunk_out, std::size_t h, common::Rng &rng)
             : embed(trunk_out, h, rng), valueOut(h, 1, rng)
         {
@@ -182,13 +178,26 @@ class MultiAgentBdq
         ReLU relu;
         Dropout dropout;
         Linear advOut;  // branchHidden -> n_d
-        Matrix hidAct, hidDrop, adv; // cached ([K*B x ...], fused)
         BranchModule(std::size_t h, std::size_t hidden_w, std::size_t n,
                      float rate, common::Rng &rng)
             : hidden(h, hidden_w, rng), dropout(rate),
               advOut(hidden_w, n, rng)
         {
         }
+    };
+
+    /**
+     * The activations of one forward pass, per trunk stage, agent and
+     * branch (linear+ReLU pairs are fused, so only post-ReLU values
+     * materialise). The *Drop matrices are written only while that
+     * dropout is active; otherwise it passes its input through.
+     */
+    struct Activations
+    {
+        std::vector<Matrix> trunk, trunkDrop; // [B x trunk width]
+        Matrix stacked;                       // [K*B x H] agent embeddings
+        std::vector<Matrix> embed, value;     // [B x H], [B x 1]
+        std::vector<Matrix> hidden, hiddenDrop, adv; // [K*B x ...]
     };
 
     void forEachLinear(const std::function<void(Linear &)> &fn);
@@ -200,8 +209,9 @@ class MultiAgentBdq
     std::vector<AgentHead> agents_;
     std::vector<BranchModule> branches_;
 
-    // Cached batch state for backward().
-    Matrix stackedEmbeds_; // [K*B x H]
+    // The last train-mode forward's activations and batch shape, for
+    // backward().
+    Activations trainAct_;
     std::size_t lastBatch_ = 0;
     bool lastTrain_ = false;
     std::size_t adamT_ = 0;
@@ -210,9 +220,9 @@ class MultiAgentBdq
     // steady-state training step performs no heap allocation.
     Matrix bwdStacked_;  // d(stacked embeddings), accumulated
     Matrix bwdAdv_;      // dueling-combine gradient per branch
-    Matrix bwdG1_, bwdG2_, bwdG3_, bwdG4_;
+    Matrix bwdG1_, bwdG2_, bwdG3_;
     Matrix bwdDh_;       // d(trunk output), accumulated over agents
-    Matrix bwdDv_, bwdGv_, bwdEmbedAct_, bwdGe_, bwdGh_;
+    Matrix bwdDv_, bwdGv_, bwdEmbedAct_, bwdGh_;
     Matrix bwdTmp_;      // trunk ping-pong buffer
 };
 

@@ -55,7 +55,7 @@ Linear::forward(const Matrix &x, Matrix &y, bool train)
     common::panicIf(x.cols() != weight_.rows(),
                     "Linear::forward: input width mismatch");
     if (train)
-        cachedInput_ = x;
+        input_ = &x;
     matmulBias(x, weight_, bias_, y);
 }
 
@@ -65,7 +65,7 @@ Linear::forwardRelu(const Matrix &x, Matrix &y, ReLU &relu, bool train)
     common::panicIf(x.cols() != weight_.rows(),
                     "Linear::forwardRelu: input width mismatch");
     if (train)
-        cachedInput_ = x;
+        input_ = &x;
     matmulBiasRelu(x, weight_, bias_, y,
                    relu.primeMask(x.rows(), weight_.cols()));
 }
@@ -95,13 +95,15 @@ void
 Linear::backwardNoInputGrad(const Matrix &dy)
 {
     allocateTrainingState();
-    common::panicIf(dy.rows() != cachedInput_.rows(),
+    common::panicIf(input_ == nullptr,
+                    "Linear::backward without a train-mode forward");
+    common::panicIf(dy.rows() != input_->rows(),
                     "Linear::backward: batch mismatch");
     common::panicIf(dy.cols() != weight_.cols(),
                     "Linear::backward: output width mismatch");
     // gradW += x^T dy, fused into the kernel: no scratch matrix, no
     // second pass over the gradient.
-    matmulTransposeAAccum(cachedInput_, dy, gradWeight_);
+    matmulTransposeAAccum(*input_, dy, gradWeight_);
     for (std::size_t r = 0; r < dy.rows(); ++r) {
         const float *row = dy.rowPtr(r);
         for (std::size_t c = 0; c < dy.cols(); ++c)
@@ -194,17 +196,15 @@ ReLU::backward(const Matrix &dy, Matrix &dx) const
         dx.raw()[i] = mask_[i] ? dy.raw()[i] : 0.0f;
 }
 
-void
+const Matrix &
 Dropout::forward(const Matrix &x, Matrix &y, bool train, common::Rng &rng)
 {
     rows_ = x.rows();
     cols_ = x.cols();
     wasTrain_ = train && rate_ > 0.0f;
+    if (!wasTrain_)
+        return x;
     y.resize(x.rows(), x.cols());
-    if (!wasTrain_) {
-        y = x;
-        return;
-    }
     const float keep = 1.0f - rate_;
     if (mask_.size() != x.size())
         mask_.resize(x.size());
@@ -217,20 +217,20 @@ Dropout::forward(const Matrix &x, Matrix &y, bool train, common::Rng &rng)
             y.raw()[i] = 0.0f;
         }
     }
+    return y;
 }
 
-void
+const Matrix &
 Dropout::backward(const Matrix &dy, Matrix &dx) const
 {
     common::panicIf(dy.rows() != rows_ || dy.cols() != cols_,
                     "Dropout::backward: shape mismatch with forward");
+    if (!wasTrain_)
+        return dy;
     dx.resize(rows_, cols_);
-    if (!wasTrain_) {
-        dx = dy;
-        return;
-    }
     for (std::size_t i = 0; i < dy.size(); ++i)
         dx.raw()[i] = dy.raw()[i] * mask_[i];
+    return dx;
 }
 
 } // namespace twig::nn

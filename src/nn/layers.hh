@@ -39,9 +39,9 @@ class Linear
     std::size_t inFeatures() const { return weight_.rows(); }
     std::size_t outFeatures() const { return weight_.cols(); }
 
-    /** Forward pass (fused GEMM+bias). With @p train it caches the
-     * input for backward(); an evaluation pass (train = false) keeps
-     * no copy. */
+    /** Forward pass (fused GEMM+bias). With @p train it remembers
+     * where @p x is for backward(), which reads it: @p x must stay
+     * alive and unchanged until then. It is not copied. */
     void forward(const Matrix &x, Matrix &y, bool train = true);
 
     /**
@@ -56,7 +56,8 @@ class Linear
 
     /**
      * Backward pass: accumulates weight/bias gradients from @p dy and
-     * produces the input gradient in @p dx.
+     * produces the input gradient in @p dx. It must follow this
+     * layer's train-mode forward, whose input it reads.
      *
      * Gradients accumulate across multiple backward() calls until
      * adamStep() or zeroGrad() — this is what lets the BDQ share one
@@ -113,7 +114,8 @@ class Linear
     std::vector<float> bias_;
     Matrix gradWeight_;
     std::vector<float> gradBias_;
-    Matrix cachedInput_;
+    /** The last train-mode forward's input (not owned). */
+    const Matrix *input_ = nullptr;
 
     // Adam moments.
     Matrix mWeight_, vWeight_;
@@ -125,6 +127,8 @@ class ReLU
 {
   public:
     void forward(const Matrix &x, Matrix &y);
+    /** dx = dy where the forward input was positive, else 0; @p dx
+     * may be @p dy. */
     void backward(const Matrix &dy, Matrix &dx) const;
 
     /**
@@ -148,8 +152,9 @@ class ReLU
 };
 
 /**
- * Inverted dropout. Active only when `train` is true in forward();
- * at evaluation time it is the identity.
+ * Inverted dropout. Active only when `train` is true in forward() and
+ * the rate is above 0; otherwise it is the identity, and forward and
+ * backward return their input itself: nothing is copied.
  */
 class Dropout
 {
@@ -158,8 +163,12 @@ class Dropout
 
     float rate() const { return rate_; }
 
-    void forward(const Matrix &x, Matrix &y, bool train, common::Rng &rng);
-    void backward(const Matrix &dy, Matrix &dx) const;
+    /** Returns the output: @p y when active, else @p x. */
+    const Matrix &forward(const Matrix &x, Matrix &y, bool train,
+                          common::Rng &rng);
+    /** Returns the input gradient: @p dx when the last forward was
+     * active, else @p dy. */
+    const Matrix &backward(const Matrix &dy, Matrix &dx) const;
 
   private:
     float rate_;

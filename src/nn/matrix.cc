@@ -2,18 +2,24 @@
  * @file
  * Register-blocked, cache-tiled GEMM kernels.
  *
- * One canonical inner kernel computes C (+)= A * B for row-major
- * operands, walking MR x NR register tiles of C and streaming the full
- * K extent through each tile so the accumulators never leave
- * registers. The transpose entry points pack the transposed operand
- * into a per-thread scratch panel and reuse the same kernel, and the
- * fused epilogues (bias, bias+ReLU) are applied at tile-store time so
- * a Linear layer's forward pass is a single memory pass.
+ * One canonical inner kernel computes C (+)= A * B for row-major B
+ * and C, walking MR x NR register tiles of C and streaming the full K
+ * extent through each tile. Each of a tile's MR accumulator rows is a
+ * named vector local (one AVX-512 register, or two AVX2 registers), so
+ * the compiler keeps all of them in registers for the whole K loop; an
+ * array of accumulators, as this kernel once used, was loaded and
+ * stored through the stack on every multiply-add. A is read through a
+ * (row stride, column stride) pair, so the A^T products (the dW = x^T
+ * dy gradient) run on the untransposed matrix without a packed copy;
+ * matmulTransposeB still packs B^T. The fused epilogues (bias,
+ * bias+ReLU, accumulate) are applied at tile-store time so a Linear
+ * layer's forward pass is a single memory pass.
  *
  * Tiling parameters (see DESIGN.md "Performance architecture"):
  *  - MR=6 rows of A per tile: each loaded B row is reused six times
  *    from registers, cutting B traffic 6x versus the row-at-a-time
- *    reference kernel.
+ *    reference kernel. The m % MR remainder rows run as one tile of
+ *    that many rows, not as single-row passes over B.
  *  - NR=16 columns: 6x16 accumulators fit the 16 vector registers of
  *    AVX2 (12 accumulators + B + broadcast) and divide evenly into
  *    SSE/AVX/AVX-512 lanes.
@@ -21,15 +27,21 @@
  *    B panel a tile streams ([K x NR] <= 32 KiB) stays cache-resident;
  *    deeper blocking would add packing cost for nothing.
  *
+ * Every C element sums the same products in the same order (p = 0..k-1,
+ * from +0) whatever its tile, strip height or column tail, fused to
+ * FMA in the AVX2 and AVX-512 versions and unfused in the baseline one,
+ * so results do not depend on the shape of the problem around them.
+ *
  * The kernel is compiled once per ISA level via GCC function
- * multiversioning (target_clones) where available: the binary stays
- * portable (SSE2 baseline) and the loader picks the AVX2/FMA or
- * AVX-512 clone at runtime.
+ * multiversioning where available: the binary stays portable (SSE2
+ * baseline) and the loader picks the AVX2/FMA or AVX-512 version at
+ * runtime.
  */
 
 #include "nn/matrix.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/kernel_clones.hh"
 
@@ -50,7 +62,7 @@ struct Epilogue
 
 /**
  * Store one accumulator row into C, applying the epilogue. Kept
- * always_inline so it is compiled inside each ISA clone of the kernel
+ * always_inline so it is compiled inside each ISA version of the kernel
  * rather than as a separate default-ISA function; the hot path calls
  * it with the literal NR so every store loop has a constant trip
  * count (a runtime bound here demotes the whole tile to narrow
@@ -111,94 +123,203 @@ packColumnTail(const float *b, std::size_t ldb, std::size_t k,
     return dst;
 }
 
-/**
- * acc = A[MR x k] * B[k x NR] for one register tile: A's rows start at
- * @p ap (stride lda), B's at @p bp (stride ldb). Every trip count is a
- * constant but k, which is what lets the auto-vectoriser keep the 6x16
- * accumulator in vector registers across the whole K extent.
- */
-__attribute__((always_inline)) inline void
-tileRows(const float *__restrict ap, std::size_t lda,
-         const float *__restrict bp, std::size_t ldb, std::size_t k,
-         float (&acc)[MR][NR])
+/** NR floats as one 16-lane vector: one AVX-512 register. */
+typedef float Lanes16 __attribute__((vector_size(NR * sizeof(float))));
+
+typedef float Lanes8 __attribute__((vector_size(NR * sizeof(float) / 2)));
+
+/** NR floats as two 8-lane halves: two AVX2 registers. Without
+ * 512-bit registers a Lanes16 local lives in memory, so the AVX2 and
+ * default kernels build their tile rows from these. */
+struct Halves
 {
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *__restrict brow = bp + p * ldb;
-        for (std::size_t r = 0; r < MR; ++r) {
-            const float av = ap[r * lda + p];
-            for (std::size_t q = 0; q < NR; ++q)
-                acc[r][q] += av * brow[q];
-        }
-    }
+    Lanes8 lo, hi;
+};
+
+static_assert(sizeof(Lanes16) == NR * sizeof(float) &&
+              sizeof(Halves) == NR * sizeof(float));
+
+/** Unaligned load of NR floats into @p v, half by half for Halves (a
+ * whole-struct copy goes through the stack). */
+__attribute__((always_inline)) inline void
+loadRow(Lanes16 &v, const float *p)
+{
+    std::memcpy(&v, p, sizeof v);
 }
 
-/** tileRows for a single row of A (the m % MR remainder). */
 __attribute__((always_inline)) inline void
-tileRow(const float *__restrict ap, const float *__restrict bp,
-        std::size_t ldb, std::size_t k, float (&acc)[NR])
+loadRow(Halves &v, const float *p)
 {
-    for (std::size_t p = 0; p < k; ++p) {
-        const float av = ap[p];
-        const float *__restrict brow = bp + p * ldb;
-        for (std::size_t q = 0; q < NR; ++q)
-            acc[q] += av * brow[q];
-    }
+    std::memcpy(&v.lo, p, sizeof v.lo);
+    std::memcpy(&v.hi, p + NR / 2, sizeof v.hi);
+}
+
+/** c += s * b, lane by lane: one multiply-add per lane (fused where
+ * the ISA has FMA). */
+__attribute__((always_inline)) inline void
+madd(Lanes16 &c, float s, const Lanes16 &b)
+{
+    c += s * b;
+}
+
+__attribute__((always_inline)) inline void
+madd(Halves &c, float s, const Halves &b)
+{
+    c.lo += s * b.lo;
+    c.hi += s * b.hi;
 }
 
 /**
- * The canonical kernel: C (+)= A[m x k] * B[k x n], all row-major with
- * leading dimensions lda/ldb/ldc. Every public GEMM below lands here.
- *
- * Every tile, the n % NR column tail included, runs the constant-trip
- * loops of tileRows/tileRow: the tail tiles read a zero-padded copy of
- * B's last columns and store only the real ones. Each C element sums
- * the same products in the same order as in a full tile, so the
- * padding changes no bit.
+ * acc_r = A[R x k] * B[k x NR] for one register tile of R <= MR rows.
+ * A's element (r, p) is a[r * rs + p * cs], so a row-major A
+ * (rs = lda, cs = 1) and a transposed view of one (rs = 1, cs = lda)
+ * run the same loop with no packing. Each accumulator row is its own
+ * named local of type Row, so it stays in registers across the whole
+ * K extent; every C element sums its products in p order, one
+ * multiply-add per product.
  */
-TWIG_KERNEL_CLONES void
-gemmKernel(std::size_t m, std::size_t n, std::size_t k,
-           const float *__restrict a, std::size_t lda,
-           const float *__restrict b, std::size_t ldb,
-           float *__restrict c, std::size_t ldc, const Epilogue ep)
+template <class Row, std::size_t R>
+__attribute__((always_inline)) inline void
+tileRows(const float *__restrict a, std::size_t rs, std::size_t cs,
+         const float *__restrict b, std::size_t ldb, std::size_t k,
+         float (&out)[MR][NR])
 {
+    static_assert(R >= 1 && R <= MR);
+    Row c0 = {}, c1 = {}, c2 = {}, c3 = {}, c4 = {}, c5 = {};
+    for (std::size_t p = 0; p < k; ++p) {
+        Row bv;
+        loadRow(bv, b + p * ldb);
+        const float *__restrict ap = a + p * cs;
+        madd(c0, ap[0], bv);
+        if constexpr (R > 1)
+            madd(c1, ap[rs], bv);
+        if constexpr (R > 2)
+            madd(c2, ap[2 * rs], bv);
+        if constexpr (R > 3)
+            madd(c3, ap[3 * rs], bv);
+        if constexpr (R > 4)
+            madd(c4, ap[4 * rs], bv);
+        if constexpr (R > 5)
+            madd(c5, ap[5 * rs], bv);
+    }
+    // Row by row: gathering the rows into an array first let GCC move
+    // the AVX2 accumulators to the stack inside the loop.
+    std::memcpy(out[0], &c0, sizeof c0);
+    std::memcpy(out[1], &c1, sizeof c1);
+    std::memcpy(out[2], &c2, sizeof c2);
+    std::memcpy(out[3], &c3, sizeof c3);
+    std::memcpy(out[4], &c4, sizeof c4);
+    std::memcpy(out[5], &c5, sizeof c5);
+}
+
+/**
+ * One R-row strip of C: every NR-column tile of rows [i, i + R), the
+ * n % NR column tail from the zero-padded @p tail panel.
+ */
+template <class Row, std::size_t R>
+__attribute__((always_inline)) inline void
+tileStrip(std::size_t i, std::size_t n, std::size_t k,
+          const float *__restrict a, std::size_t rs, std::size_t cs,
+          const float *__restrict b, std::size_t ldb,
+          const float *__restrict tail, float *__restrict c,
+          std::size_t ldc, const Epilogue &ep)
+{
+    const float *ap = a + i * rs;
     const std::size_t nFull = n - n % NR;
-    const std::size_t nr = n - nFull;
+    float out[MR][NR];
+    for (std::size_t j = 0; j < nFull; j += NR) {
+        tileRows<Row, R>(ap, rs, cs, b + j, ldb, k, out);
+        for (std::size_t r = 0; r < R; ++r)
+            storeRow(c + (i + r) * ldc + j, out[r], j, NR, i + r, ldc,
+                     ep);
+    }
+    if (nFull != n) {
+        tileRows<Row, R>(ap, rs, cs, tail, NR, k, out);
+        for (std::size_t r = 0; r < R; ++r)
+            storeRow(c + (i + r) * ldc + nFull, out[r], nFull,
+                     n - nFull, i + r, ldc, ep);
+    }
+}
+
+/**
+ * The canonical kernel: C (+)= A[m x k] * B[k x n], B and C row-major
+ * with leading dimensions ldb/ldc, A read through the (rs, cs) stride
+ * pair of tileRows. Every public GEMM below lands here.
+ *
+ * Rows run in MR-row strips, the m % MR remainder as one strip of that
+ * many rows. Every tile, the n % NR column tail included, runs the
+ * constant-width loop of tileRows: the tail tiles read a zero-padded
+ * copy of B's last columns and store only the real ones. Each C
+ * element sums the same products in the same order in every strip and
+ * tile shape, so neither the padding nor the strip height changes a
+ * bit.
+ */
+template <class Row>
+__attribute__((always_inline)) inline void
+gemm(std::size_t m, std::size_t n, std::size_t k,
+     const float *__restrict a, std::size_t rs, std::size_t cs,
+     const float *__restrict b, std::size_t ldb, float *__restrict c,
+     std::size_t ldc, const Epilogue &ep)
+{
+    const std::size_t nr = n % NR;
     const float *tail =
-        nr != 0 ? packColumnTail(b, ldb, k, nFull, nr) : nullptr;
+        nr != 0 ? packColumnTail(b, ldb, k, n - nr, nr) : nullptr;
 
     std::size_t i = 0;
-    // Full MR-row blocks.
-    for (; i + MR <= m; i += MR) {
-        const float *ap = a + i * lda;
-        for (std::size_t j = 0; j < nFull; j += NR) {
-            float acc[MR][NR] = {};
-            tileRows(ap, lda, b + j, ldb, k, acc);
-            for (std::size_t r = 0; r < MR; ++r)
-                storeRow(c + (i + r) * ldc + j, acc[r], j, NR, i + r,
-                         ldc, ep);
-        }
-        if (nr != 0) {
-            float acc[MR][NR] = {};
-            tileRows(ap, lda, tail, NR, k, acc);
-            for (std::size_t r = 0; r < MR; ++r)
-                storeRow(c + (i + r) * ldc + nFull, acc[r], nFull, nr,
-                         i + r, ldc, ep);
-        }
+    for (; i + MR <= m; i += MR)
+        tileStrip<Row, MR>(i, n, k, a, rs, cs, b, ldb, tail, c, ldc, ep);
+    switch (m - i) {
+    case 1:
+        tileStrip<Row, 1>(i, n, k, a, rs, cs, b, ldb, tail, c, ldc, ep);
+        break;
+    case 2:
+        tileStrip<Row, 2>(i, n, k, a, rs, cs, b, ldb, tail, c, ldc, ep);
+        break;
+    case 3:
+        tileStrip<Row, 3>(i, n, k, a, rs, cs, b, ldb, tail, c, ldc, ep);
+        break;
+    case 4:
+        tileStrip<Row, 4>(i, n, k, a, rs, cs, b, ldb, tail, c, ldc, ep);
+        break;
+    case 5:
+        tileStrip<Row, 5>(i, n, k, a, rs, cs, b, ldb, tail, c, ldc, ep);
+        break;
+    default:
+        break;
     }
-    // Remainder rows (m % MR), one row of register tiles at a time.
-    for (; i < m; ++i) {
-        const float *ap = a + i * lda;
-        for (std::size_t j = 0; j < nFull; j += NR) {
-            float acc[NR] = {};
-            tileRow(ap, b + j, ldb, k, acc);
-            storeRow(c + i * ldc + j, acc, j, NR, i, ldc, ep);
-        }
-        if (nr != 0) {
-            float acc[NR] = {};
-            tileRow(ap, tail, NR, k, acc);
-            storeRow(c + i * ldc + nFull, acc, nFull, nr, i, ldc, ep);
-        }
-    }
+}
+
+/*
+ * gemmKernel: one version per ISA level, picked by the loader like the
+ * TWIG_KERNEL_CLONES kernels (GCC function multiversioning, so also
+ * only where TWIG_HAVE_KERNEL_CLONES), because the AVX-512 version's
+ * tile rows are a different type.
+ */
+#if TWIG_HAVE_KERNEL_CLONES
+__attribute__((target("arch=x86-64-v4"))) void
+gemmKernel(std::size_t m, std::size_t n, std::size_t k, const float *a,
+           std::size_t rs, std::size_t cs, const float *b, std::size_t ldb,
+           float *c, std::size_t ldc, const Epilogue ep)
+{
+    gemm<Lanes16>(m, n, k, a, rs, cs, b, ldb, c, ldc, ep);
+}
+
+__attribute__((target("arch=x86-64-v3"))) void
+gemmKernel(std::size_t m, std::size_t n, std::size_t k, const float *a,
+           std::size_t rs, std::size_t cs, const float *b, std::size_t ldb,
+           float *c, std::size_t ldc, const Epilogue ep)
+{
+    gemm<Halves>(m, n, k, a, rs, cs, b, ldb, c, ldc, ep);
+}
+
+__attribute__((target("default")))
+#endif
+void
+gemmKernel(std::size_t m, std::size_t n, std::size_t k, const float *a,
+           std::size_t rs, std::size_t cs, const float *b, std::size_t ldb,
+           float *c, std::size_t ldc, const Epilogue ep)
+{
+    gemm<Halves>(m, n, k, a, rs, cs, b, ldb, c, ldc, ep);
 }
 
 /**
@@ -230,7 +351,7 @@ matmul(const Matrix &a, const Matrix &b, Matrix &out)
 {
     common::panicIf(a.cols() != b.rows(), "matmul: inner dims differ");
     out.resize(a.rows(), b.cols());
-    gemmKernel(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
+    gemmKernel(a.rows(), b.cols(), a.cols(), a.data(), a.cols(), 1,
                b.data(), b.cols(), out.data(), out.cols(), Epilogue{});
 }
 
@@ -240,7 +361,7 @@ matmulTransposeB(const Matrix &a, const Matrix &b, Matrix &out)
     common::panicIf(a.cols() != b.cols(), "matmulTransposeB: dims differ");
     out.resize(a.rows(), b.rows());
     const float *bt = packTranspose(b); // [k x n]
-    gemmKernel(a.rows(), b.rows(), a.cols(), a.data(), a.cols(), bt,
+    gemmKernel(a.rows(), b.rows(), a.cols(), a.data(), a.cols(), 1, bt,
                b.rows(), out.data(), out.cols(), Epilogue{});
 }
 
@@ -249,9 +370,9 @@ matmulTransposeA(const Matrix &a, const Matrix &b, Matrix &out)
 {
     common::panicIf(a.rows() != b.rows(), "matmulTransposeA: dims differ");
     out.resize(a.cols(), b.cols());
-    const float *at = packTranspose(a); // [k x m]
-    gemmKernel(a.cols(), b.cols(), a.rows(), at, a.rows(), b.data(),
-               b.cols(), out.data(), out.cols(), Epilogue{});
+    // A^T(i, p) = a(p, i): row stride 1, column stride a.cols().
+    gemmKernel(a.cols(), b.cols(), a.rows(), a.data(), 1, a.cols(),
+               b.data(), b.cols(), out.data(), out.cols(), Epilogue{});
 }
 
 void
@@ -261,11 +382,10 @@ matmulTransposeAAccum(const Matrix &a, const Matrix &b, Matrix &out)
                     "matmulTransposeAAccum: dims differ");
     common::panicIf(out.rows() != a.cols() || out.cols() != b.cols(),
                     "matmulTransposeAAccum: out must be [k x n]");
-    const float *at = packTranspose(a);
     Epilogue ep;
     ep.accumulate = true;
-    gemmKernel(a.cols(), b.cols(), a.rows(), at, a.rows(), b.data(),
-               b.cols(), out.data(), out.cols(), ep);
+    gemmKernel(a.cols(), b.cols(), a.rows(), a.data(), 1, a.cols(),
+               b.data(), b.cols(), out.data(), out.cols(), ep);
 }
 
 void
@@ -278,7 +398,7 @@ matmulBias(const Matrix &a, const Matrix &w,
     out.resize(a.rows(), w.cols());
     Epilogue ep;
     ep.bias = bias.data();
-    gemmKernel(a.rows(), w.cols(), a.cols(), a.data(), a.cols(),
+    gemmKernel(a.rows(), w.cols(), a.cols(), a.data(), a.cols(), 1,
                w.data(), w.cols(), out.data(), out.cols(), ep);
 }
 
@@ -297,7 +417,7 @@ matmulBiasRelu(const Matrix &a, const Matrix &w,
     Epilogue ep;
     ep.bias = bias.data();
     ep.reluMask = mask.data();
-    gemmKernel(a.rows(), w.cols(), a.cols(), a.data(), a.cols(),
+    gemmKernel(a.rows(), w.cols(), a.cols(), a.data(), a.cols(), 1,
                w.data(), w.cols(), out.data(), out.cols(), ep);
 }
 

@@ -29,9 +29,7 @@ Mlp::forwardImpl(const Matrix &x, Matrix &y, bool train)
     for (std::size_t i = 0; i < cfg_.hidden.size(); ++i) {
         Matrix &relu_out = acts_[slot++];
         linears_[i].forwardRelu(*cur, relu_out, relus_[i], train);
-        Matrix &drop_out = acts_[slot++];
-        dropouts_[i].forward(relu_out, drop_out, train, rng_);
-        cur = &drop_out;
+        cur = &dropouts_[i].forward(relu_out, acts_[slot++], train, rng_);
     }
     linears_.back().forward(*cur, y, train);
 }
@@ -68,10 +66,7 @@ Mlp::trainStep(const Matrix &x, const Matrix &target)
     Matrix *grad = &gradA_, *tmp = &gradB_;
     linears_.back().backward(trainDy_, *grad);
     for (std::size_t i = cfg_.hidden.size(); i-- > 0;) {
-        dropouts_[i].backward(*grad, *tmp);
-        std::swap(grad, tmp);
-        relus_[i].backward(*grad, *tmp);
-        std::swap(grad, tmp);
+        relus_[i].backward(dropouts_[i].backward(*grad, *tmp), *grad);
         if (i == 0) {
             linears_[i].backwardNoInputGrad(*grad);
         } else {

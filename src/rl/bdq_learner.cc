@@ -164,10 +164,12 @@ BdqLearner::trainStep()
     }
 
     // Forward the sampled states in train mode, build the Q gradients.
-    nn::BdqOutput &out = outScratch_;
+    // Both reuse the next-state outputs' storage, whose values the TD
+    // targets above have consumed.
+    nn::BdqOutput &out = next_online;
     online_.forward(states, out, true);
 
-    std::vector<std::vector<nn::Matrix>> &dq = dqScratch_;
+    std::vector<std::vector<nn::Matrix>> &dq = next_target.q;
     if (dq.size() != K)
         dq.resize(K);
     std::vector<double> &td_for_priority = tdPriorityScratch_;

@@ -187,9 +187,8 @@ class BdqLearner
     // allocations (verified by tests/test_alloc.cc).
     ReplaySample sampleScratch_;
     nn::Matrix statesScratch_, nextStatesScratch_;
-    nn::BdqOutput nextOnlineScratch_, nextTargetScratch_, outScratch_;
+    nn::BdqOutput nextOnlineScratch_, nextTargetScratch_;
     std::vector<std::vector<double>> targetsScratch_;
-    std::vector<std::vector<nn::Matrix>> dqScratch_;
     std::vector<double> tdPriorityScratch_;
 };
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include <sys/mman.h>
+
 #include "common/error.hh"
 
 namespace twig::rl {
@@ -14,9 +16,18 @@ SumTree::SumTree(std::size_t capacity) : capacity_(capacity)
     leafBase_ = 1;
     while (leafBase_ < capacity)
         leafBase_ <<= 1;
-    nodes_.reset(
-        static_cast<double *>(std::calloc(2 * leafBase_, sizeof(double))));
-    common::fatalIf(!nodes_, "SumTree: out of memory");
+    const std::size_t bytes = 2 * leafBase_ * sizeof(double);
+    void *pages = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    common::fatalIf(pages == MAP_FAILED, "SumTree: out of memory");
+    nodes_ = std::unique_ptr<double[], Unmap>(static_cast<double *>(pages),
+                                              Unmap{bytes});
+}
+
+void
+SumTree::Unmap::operator()(double *p) const
+{
+    ::munmap(p, bytes);
 }
 
 void
@@ -88,18 +99,14 @@ void
 PrioritizedReplay::add(const Transition &t)
 {
     if (size_ == 0) {
-        // The first transition fixes the shape; reserve address space
-        // for the buffer (pages are only touched as it fills).
+        // The first transition fixes the shape. Nothing is reserved up
+        // front: the buffers grow as they fill, so a run that stores a
+        // few thousand transitions holds memory for about that many --
+        // a large reservation can be served from already-resident heap
+        // and cost its full size at once.
         stateDim_ = t.state.size();
         agents_ = t.actions.size();
         branches_ = t.actions.empty() ? 0 : t.actions[0].size();
-        const std::size_t n = std::min<std::size_t>(cfg_.capacity, 65536);
-        rows_.reserve((n + 1) * stateDim_);
-        stateRow_.reserve(n);
-        nextStateRow_.reserve(n);
-        actions_.reserve(n * agents_ * branches_);
-        rewards_.reserve(n * agents_);
-        done_.reserve(n);
     }
     bool shaped = t.state.size() == stateDim_ &&
         t.nextState.size() == stateDim_ && t.actions.size() == agents_ &&

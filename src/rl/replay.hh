@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -61,16 +60,21 @@ class SumTree
     std::size_t find(double mass) const;
 
   private:
-    struct Free
+    struct Unmap
     {
-        void operator()(double *p) const { std::free(p); }
+        std::size_t bytes;
+        void operator()(double *p) const;
     };
 
     std::size_t capacity_;
     std::size_t leafBase_;
-    // calloc'd: a large tree comes from untouched zero pages, so only
-    // the paths of filled leaves ever become resident.
-    std::unique_ptr<double[], Free> nodes_;
+    // Anonymous zero pages straight from the kernel, so only the paths
+    // of filled leaves ever become resident. calloc gives that only
+    // while malloc still serves blocks this size by mmap: once its
+    // dynamic threshold has risen (after any large block is freed), a
+    // calloc'd tree comes from recycled heap and is zeroed, so all of
+    // it is resident.
+    std::unique_ptr<double[], Unmap> nodes_;
 };
 
 /** Configuration of the prioritised replay buffer. */

@@ -104,10 +104,11 @@ Daemon::controlLoop()
 {
     const auto interval = std::chrono::duration_cast<clock::duration>(
         std::chrono::duration<double, std::milli>(options_.intervalMs));
-    const double interval_s = options_.intervalMs * 1e-3;
-    const std::size_t max_intervals = options_.durationS > 0.0
-        ? static_cast<std::size_t>(options_.durationS / interval_s + 0.5)
-        : 0;
+    // The run ends on wall time, not on an interval count: an
+    // overrunning loop steps fewer intervals than the nominal pacing
+    // implies, and must still stop at --duration-s.
+    const auto duration = std::chrono::duration_cast<clock::duration>(
+        std::chrono::duration<double>(options_.durationS));
 
     const auto started = clock::now();
     auto next = started + interval;
@@ -157,7 +158,7 @@ Daemon::controlLoop()
             statsSnapshot_.p99Ms = fs.fleetP99Ms;
         }
 
-        if (max_intervals != 0 && intervals_ >= max_intervals) {
+        if (options_.durationS > 0.0 && clock::now() - started >= duration) {
             requestShutdown();
             break;
         }

@@ -67,8 +67,9 @@ struct DaemonOptions
     /** Wall-clock control-interval pacing. Each tick steps the fleet
      * one simulated control interval. */
     double intervalMs = 50.0;
-    /** Stop after this much wall time (0 = run until
-     * requestShutdown()). */
+    /** Stop after the first interval that ends this much wall time
+     * after the loop started, however many intervals that took (0 =
+     * run until requestShutdown()). */
     double durationS = 0.0;
     /** Node-stepping threads inside ClusterManager. */
     std::size_t jobs = 1;

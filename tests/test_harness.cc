@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "baselines/static_manager.hh"
 #include "harness/metrics.hh"
@@ -72,6 +74,35 @@ TEST(Runner, StaticManagerMeetsQosAtModerateLoad)
     EXPECT_GT(result.metrics.energyJoules, 0.0);
 }
 
+TEST(TraceRecord, PerServiceValuesSurviveSpillCopyAndMove)
+{
+    TraceRecord::PerService<double> v;
+    EXPECT_TRUE(v.empty());
+    std::vector<double> want;
+    for (int i = 0; i < 9; ++i) {
+        // The first two stay inline, then the values move to the heap
+        // and regrow (4 -> 8 -> 16 slots); pushing one of its own
+        // elements must survive the regrow that frees it.
+        v.push_back(i == 4 ? v[1] : 0.5 * i);
+        want.push_back(i == 4 ? want[1] : 0.5 * i);
+        ASSERT_EQ(v.size(), want.size());
+        for (std::size_t j = 0; j < want.size(); ++j)
+            ASSERT_EQ(v[j], want[j]) << "after " << i << ", element " << j;
+
+        TraceRecord::PerService<double> copy = v;
+        TraceRecord::PerService<double> assigned;
+        assigned.push_back(-1.0);
+        assigned = copy;
+        const TraceRecord::PerService<double> moved = std::move(copy);
+        EXPECT_TRUE(copy.empty()); // NOLINT(bugprone-use-after-move)
+        const std::vector<double> fromCopy(assigned.begin(), assigned.end());
+        const std::vector<double> fromMove(moved.begin(), moved.end());
+        EXPECT_EQ(fromCopy, want);
+        EXPECT_EQ(fromMove, want);
+        EXPECT_NE(assigned.data(), v.data());
+    }
+}
+
 TEST(Runner, TraceRecordsEveryStep)
 {
     sim::MachineConfig machine;
@@ -96,27 +127,7 @@ TEST(Runner, TraceRecordsEveryStep)
     }
 }
 
-TEST(Runner, OnStepHookFires)
-{
-    sim::MachineConfig machine;
-    sim::Server server(machine, 23);
-    const auto p = services::moses();
-    server.addService(p,
-                      std::make_unique<sim::FixedLoad>(p.maxLoadRps, 0.2));
-    baselines::StaticManager mgr(machine);
-    ExperimentRunner runner(server, mgr);
-
-    std::size_t calls = 0;
-    RunOptions opt;
-    opt.steps = 7;
-    opt.summaryWindow = 7;
-    opt.onStep = [&calls](std::size_t,
-                          const sim::ServerIntervalStats &) { ++calls; };
-    runner.run(opt);
-    EXPECT_EQ(calls, 7u);
-}
-
-TEST(Runner, OnStepOrderingAndTraceContentsAgree)
+TEST(Runner, TraceContentsFollowStepOrder)
 {
     sim::MachineConfig machine;
     sim::Server server(machine, 24);
@@ -126,34 +137,21 @@ TEST(Runner, OnStepOrderingAndTraceContentsAgree)
     baselines::StaticManager mgr(machine);
     ExperimentRunner runner(server, mgr);
 
-    // The hook fires once per interval, in step order, with the stats
-    // of the interval that just ran.
-    std::vector<std::size_t> hook_steps;
-    std::vector<double> hook_p99, hook_rps, hook_power;
     RunOptions opt;
     opt.steps = 9;
     opt.summaryWindow = 9;
     opt.recordTrace = true;
-    opt.onStep = [&](std::size_t step,
-                     const sim::ServerIntervalStats &stats) {
-        hook_steps.push_back(step);
-        ASSERT_EQ(stats.services.size(), 1u);
-        hook_p99.push_back(stats.services[0].p99Ms);
-        hook_rps.push_back(stats.services[0].offeredRps);
-        hook_power.push_back(stats.socketPowerW);
-    };
     const auto result = runner.run(opt);
 
-    ASSERT_EQ(hook_steps.size(), 9u);
     ASSERT_EQ(result.trace.size(), 9u);
     for (std::size_t i = 0; i < 9; ++i) {
-        EXPECT_EQ(hook_steps[i], i);
         const auto &rec = result.trace[i];
         EXPECT_EQ(rec.step, i);
-        // Trace rows and the hook observe the same interval.
-        EXPECT_DOUBLE_EQ(rec.p99Ms[0], hook_p99[i]);
-        EXPECT_DOUBLE_EQ(rec.offeredRps[0], hook_rps[i]);
-        EXPECT_DOUBLE_EQ(rec.socketPowerW, hook_power[i]);
+        ASSERT_EQ(rec.p99Ms.size(), 1u);
+        ASSERT_EQ(rec.offeredRps.size(), 1u);
+        EXPECT_GE(rec.p99Ms[0], 0.0);
+        EXPECT_GT(rec.offeredRps[0], 0.0);
+        EXPECT_GT(rec.socketPowerW, 0.0);
         // The static manager requests everything, every interval.
         ASSERT_EQ(rec.cores.size(), 1u);
         ASSERT_EQ(rec.dvfs.size(), 1u);

@@ -211,23 +211,24 @@ TEST(Integration, TwigRecoversFromLoadSpike)
                      {quickSpec(profile)}, 202);
     ExperimentRunner runner(server, twig);
 
-    std::size_t recovered_at = 0;
-    std::size_t consecutive_ok = 0;
     RunOptions opt;
     opt.steps = 900;
     opt.summaryWindow = 100;
-    opt.onStep = [&](std::size_t step,
-                     const sim::ServerIntervalStats &stats) {
-        if (step < spike_at || recovered_at)
-            return;
-        if (stats.services[0].p99Ms <= profile.qosTargetMs) {
-            if (++consecutive_ok >= 5)
+    opt.recordTrace = true;
+    const auto result = runner.run(opt);
+
+    std::size_t recovered_at = 0;
+    std::size_t consecutive_ok = 0;
+    for (std::size_t step = spike_at; step < result.trace.size(); ++step) {
+        if (result.trace[step].p99Ms[0] <= profile.qosTargetMs) {
+            if (++consecutive_ok >= 5) {
                 recovered_at = step;
+                break;
+            }
         } else {
             consecutive_ok = 0;
         }
-    };
-    runner.run(opt);
+    }
 
     ASSERT_GT(recovered_at, 0u) << "never recovered from the spike";
     EXPECT_LT(recovered_at - spike_at, 120u);

@@ -285,9 +285,15 @@ TEST(Dropout, IdentityInEvalMode)
     Rng rng(12);
     Dropout drop(0.5f);
     Matrix x(2, 3, 1.5f), y;
-    drop.forward(x, y, false, rng);
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_FLOAT_EQ(y.raw()[i], 1.5f);
+    // The identity hands back its input itself: no copy is made.
+    const Matrix &out = drop.forward(x, y, false, rng);
+    EXPECT_EQ(&out, &x);
+    EXPECT_EQ(y.size(), 0u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_FLOAT_EQ(out.raw()[i], 1.5f);
+    Matrix dy(2, 3, 0.25f), dx;
+    EXPECT_EQ(&drop.backward(dy, dx), &dy);
+    EXPECT_EQ(dx.size(), 0u);
 }
 
 TEST(Dropout, ZeroRateIsIdentityEvenInTrain)
@@ -295,9 +301,12 @@ TEST(Dropout, ZeroRateIsIdentityEvenInTrain)
     Rng rng(13);
     Dropout drop(0.0f);
     Matrix x(2, 3, 2.0f), y;
-    drop.forward(x, y, true, rng);
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_FLOAT_EQ(y.raw()[i], 2.0f);
+    const Matrix &out = drop.forward(x, y, true, rng);
+    EXPECT_EQ(&out, &x);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_FLOAT_EQ(out.raw()[i], 2.0f);
+    Matrix dy(2, 3, 0.25f), dx;
+    EXPECT_EQ(&drop.backward(dy, dx), &dy);
 }
 
 TEST(Dropout, PreservesExpectedValue)

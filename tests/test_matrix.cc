@@ -296,12 +296,15 @@ TEST_P(TiledKernelEquivalence, BitwiseMatchesSequentialSum)
     for (auto &v : bias)
         v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-    Matrix prod, prodBias, prodRelu, prodTB, accum = prior;
+    Matrix prod, prodBias, prodRelu, prodTB, prodTA, accum = prior;
     std::vector<unsigned char> mask;
     matmul(a, b, prod);
     matmulBias(a, b, bias, prodBias);
     matmulBiasRelu(a, b, bias, prodRelu, mask);
     matmulTransposeB(a, transposed(b), prodTB);
+    // The transposed-A products read their operand through strides,
+    // with no packed copy.
+    matmulTransposeA(transposed(a), b, prodTA);
     matmulTransposeAAccum(transposed(a), b, accum);
 
     const auto mismatches = [&](bool fused) {
@@ -326,6 +329,8 @@ TEST_P(TiledKernelEquivalence, BitwiseMatchesSequentialSum)
             bad += " matmulBiasRelu";
         if (!bitEqual(prodTB, sum))
             bad += " matmulTransposeB";
+        if (!bitEqual(prodTA, sum))
+            bad += " matmulTransposeA";
         if (!bitEqual(accum, accumulated))
             bad += " matmulTransposeAAccum";
         return bad;
@@ -361,6 +366,78 @@ INSTANTIATE_TEST_SUITE_P(
             std::to_string(info.param.k) + "x" +
             std::to_string(info.param.n);
     });
+
+// Every m % 6 remainder strip height (m = 1..13 covers 0..5 after
+// zero, one and two full strips), under a column tail (n = 21).
+INSTANTIATE_TEST_SUITE_P(
+    Remainders, TiledKernelEquivalence,
+    ::testing::Values(Shape{1, 11, 21}, Shape{2, 11, 21}, Shape{3, 11, 21},
+                      Shape{4, 11, 21}, Shape{5, 11, 21}, Shape{6, 11, 21},
+                      Shape{7, 11, 21}, Shape{8, 11, 21}, Shape{9, 11, 21},
+                      Shape{10, 11, 21}, Shape{11, 11, 21},
+                      Shape{12, 11, 21}, Shape{13, 11, 21}),
+    [](const ::testing::TestParamInfo<Shape> &info) {
+        return "m" + std::to_string(info.param.m);
+    });
+
+TEST(TiledKernelEquivalence, FastPresetTrainingShapesAreBitExact)
+{
+    // The 17 GEMMs of a fast-preset BDQ training step (batch 32, two
+    // agents of 11 state features, trunk 64, heads 32, branches of 18
+    // and 9 actions), as (m, k, n) of the product C[m x n] = A B:
+    // forward Linear passes, the dW = x^T dy accumulations and the
+    // dX = dy W^T input gradients.
+    struct Gemm
+    {
+        const char *op;
+        std::size_t m, k, n;
+    };
+    const Gemm gemms[] = {
+        {"fwd", 32, 22, 64}, {"fwd", 32, 64, 32}, {"fwd", 32, 32, 1},
+        {"fwd", 64, 32, 32}, {"fwd", 64, 32, 18}, {"fwd", 64, 32, 9},
+        {"dW", 22, 32, 64},  {"dW", 64, 32, 32},  {"dW", 32, 32, 1},
+        {"dW", 32, 64, 32},  {"dW", 32, 64, 18},  {"dW", 32, 64, 9},
+        {"dX", 32, 32, 64},  {"dX", 32, 1, 32},   {"dX", 64, 32, 32},
+        {"dX", 64, 18, 32},  {"dX", 64, 9, 32},
+    };
+    twig::common::Rng rng(17);
+    std::string unfused, fused;
+    for (const Gemm &g : gemms) {
+        const Matrix a = randomMatrix(g.m, g.k, rng);
+        const Matrix b = randomMatrix(g.k, g.n, rng);
+        const Matrix prior = randomMatrix(g.m, g.n, rng);
+        std::vector<float> bias(g.n);
+        for (auto &v : bias)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        const std::string op = g.op;
+        Matrix got = prior;
+        if (op == "fwd")
+            matmulBias(a, b, bias, got);
+        else if (op == "dW")
+            matmulTransposeAAccum(transposed(a), b, got);
+        else
+            matmulTransposeB(a, transposed(b), got);
+        for (const bool f : {false, true}) {
+            Matrix want = sequentialProduct(a, b, f);
+            for (std::size_t i = 0; i < g.m; ++i) {
+                for (std::size_t j = 0; j < g.n; ++j) {
+                    if (op == "fwd")
+                        want(i, j) += bias[j];
+                    else if (op == "dW")
+                        want(i, j) = prior(i, j) + want(i, j);
+                }
+            }
+            if (!bitEqual(got, want)) {
+                (f ? fused : unfused) += " " + op + " " +
+                    std::to_string(g.m) + "x" + std::to_string(g.k) +
+                    "x" + std::to_string(g.n);
+            }
+        }
+    }
+    EXPECT_TRUE(unfused.empty() || fused.empty())
+        << "differ from the unfused sum:" << unfused
+        << "; from the fused sum:" << fused;
+}
 
 TEST(FusedKernels, TransposeAAccumAddsIntoOut)
 {

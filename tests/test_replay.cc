@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "rl/replay.hh"
 
@@ -157,6 +158,45 @@ TEST(Replay, StoresEveryFieldExactlyAcrossWrapAround)
             EXPECT_EQ(buf.done(slot), want.done);
         }
     }
+}
+
+TEST(Replay, FillsPastAReservationSizeAndWrapsExactly)
+{
+    // 70000 slots, above the 65536 transitions a replay once reserved
+    // on its first add: the buffers grow as they fill, past that size,
+    // and then wrap. Sampling and prioritised updates along the way
+    // must pick the same transitions with the same weights as before
+    // the reservation went (the pinned FNV-1a below).
+    ReplayConfig cfg;
+    cfg.capacity = 70000;
+    PrioritizedReplay buf(cfg);
+    Rng rng(21);
+    std::uint64_t h = twig::common::kFnvOffsetBasis;
+    for (int i = 0; i < 100000; ++i) {
+        buf.add(makeTransition(static_cast<float>(i)));
+        if (i % 5000 != 4999)
+            continue;
+        const auto s = buf.sample(32, 0.4, rng);
+        h = twig::common::fnv1a(s.indices.data(),
+                                s.indices.size() * sizeof(std::size_t), h);
+        h = twig::common::fnv1a(s.weights.data(),
+                                s.weights.size() * sizeof(double), h);
+        std::vector<double> td;
+        for (const std::size_t idx : s.indices)
+            td.push_back(0.01 * static_cast<double>(idx % 97));
+        buf.updatePriorities(s.indices, td);
+    }
+    ASSERT_EQ(buf.size(), 70000u);
+    // Slot j holds the newest transition added at an index = j mod
+    // 70000: the wrap overwrote slots 0..29999.
+    for (const std::size_t slot : {0, 1, 29999, 30000, 65536, 69999}) {
+        const float tag =
+            static_cast<float>(slot < 30000 ? slot + 70000 : slot);
+        EXPECT_EQ(buf.state(slot)[0], tag) << "slot " << slot;
+        EXPECT_EQ(buf.nextState(slot)[1], tag + 1) << "slot " << slot;
+        EXPECT_EQ(buf.reward(slot, 0), static_cast<double>(tag));
+    }
+    EXPECT_EQ(h, 0x127df21dbc92a3d5ULL) << std::hex << h;
 }
 
 TEST(Replay, RejectsTransitionsOfAnotherShape)

@@ -654,10 +654,11 @@ expectBitEqual(const common::Json &got, double want)
     EXPECT_EQ(std::memcmp(&v, &want, sizeof v), 0) << v << " vs " << want;
 }
 
-/** Bit-exact equality of a JSON number array and a vector. */
-template <typename T>
+/** Bit-exact equality of a JSON number array and a vector (or any
+ * sized, indexable sequence of numbers). */
+template <typename Values>
 void
-expectSameArray(const common::Json &arr, const std::vector<T> &want)
+expectSameArray(const common::Json &arr, const Values &want)
 {
     ASSERT_EQ(arr.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i)
@@ -698,11 +699,18 @@ crashAndScaleSpec()
 
 } // namespace
 
-TEST(TraceWriter, SingleTraceRoundTripsBitExact)
+/**
+ * Run a 25-step single-topology Twig scenario over @p services and
+ * check every interval line of its trace against the TraceRecords bit
+ * for bit. Up to two services a record holds its per-service values
+ * inline; a third moves them to the heap.
+ */
+static void
+expectSingleTraceRoundTrip(const std::vector<std::string> &services)
 {
     ScenarioSpec spec;
     spec.name = "trace-single";
-    for (const char *name : {"masstree", "xapian"}) {
+    for (const auto &name : services) {
         ServiceLoadSpec svc;
         svc.service = name;
         svc.fraction = 0.4;
@@ -728,8 +736,9 @@ TEST(TraceWriter, SingleTraceRoundTripsBitExact)
     EXPECT_EQ(header.at("schema").asIndex(), 1u);
     EXPECT_EQ(header.at("scenario").asString(), "trace-single");
     EXPECT_EQ(header.at("topology").asString(), "single");
-    ASSERT_EQ(header.at("services").size(), 2u);
-    EXPECT_EQ(header.at("services").at(1).asString(), "xapian");
+    ASSERT_EQ(header.at("services").size(), services.size());
+    for (std::size_t i = 0; i < services.size(); ++i)
+        EXPECT_EQ(header.at("services").at(i).asString(), services[i]);
 
     const sim::DvfsLadder ladder;
     const auto &trace = result.single.trace;
@@ -739,6 +748,10 @@ TEST(TraceWriter, SingleTraceRoundTripsBitExact)
         EXPECT_EQ(line.at("kind").asString(), "interval");
         EXPECT_EQ(line.at("step").asIndex(), trace[t].step);
         EXPECT_EQ(trace[t].step, t);
+        ASSERT_EQ(trace[t].cores.size(), services.size());
+        ASSERT_EQ(trace[t].dvfs.size(), services.size());
+        ASSERT_EQ(trace[t].p99Ms.size(), services.size());
+        ASSERT_EQ(trace[t].offeredRps.size(), services.size());
         expectBitEqual(line.at("power_w"), trace[t].socketPowerW);
         expectSameArray(line.at("rps"), trace[t].offeredRps);
         expectSameArray(line.at("p99_ms"), trace[t].p99Ms);
@@ -748,6 +761,21 @@ TEST(TraceWriter, SingleTraceRoundTripsBitExact)
             ghz.push_back(ladder.freq(idx));
         expectSameArray(line.at("dvfs_ghz"), ghz);
     }
+}
+
+TEST(TraceWriter, SingleTraceRoundTripsBitExact)
+{
+    expectSingleTraceRoundTrip({"masstree", "xapian"});
+}
+
+TEST(TraceWriter, OneServiceTraceRoundTripsBitExact)
+{
+    expectSingleTraceRoundTrip({"masstree"});
+}
+
+TEST(TraceWriter, ThreeServiceTraceSpillsAndRoundTripsBitExact)
+{
+    expectSingleTraceRoundTrip({"masstree", "xapian", "img-dnn"});
 }
 
 TEST(TraceWriter, FleetEventsPrecedeTheirInterval)

@@ -234,6 +234,34 @@ TEST(Serve, ObservedRateHoldsWhenTheControlLoopOverruns)
         << summary.intervals << " intervals overran";
 }
 
+TEST(Serve, DurationHoldsWhenTheControlLoopOverruns)
+{
+    // The learning fleet's step takes several times the 0.25 ms
+    // pacing, so the loop overruns: it steps far fewer intervals than
+    // 0.2 s / 0.25 ms = 800, and must still stop at 0.2 s of wall
+    // time, after at most one step past the deadline.
+    serve::DaemonOptions dopt;
+    dopt.intervalMs = 0.25;
+    dopt.durationS = 0.2;
+    serve::Daemon daemon(smallSpec(), dopt);
+    daemon.start();
+    const auto summary = daemon.join();
+
+    ASSERT_GT(summary.intervals, 0u);
+    EXPECT_GT(summary.overruns, 0u);
+    EXPECT_LT(summary.intervals, 800u);
+    // One step is the pacing interval plus the fleet's step time; the
+    // mean interval over the run measures both. The bound allows the
+    // final step up to 8 mean steps (a slow step on a busy host); the
+    // count-based stop ran about 7x past the duration here.
+    const double mean_step_s =
+        summary.wallSeconds / static_cast<double>(summary.intervals);
+    EXPECT_GE(summary.wallSeconds, dopt.durationS);
+    EXPECT_LE(summary.wallSeconds, dopt.durationS + 8.0 * mean_step_s)
+        << summary.intervals << " intervals, " << summary.overruns
+        << " overran";
+}
+
 TEST(Serve, GarbageBytesDisconnectWithoutHarm)
 {
     serve::DaemonOptions dopt;
