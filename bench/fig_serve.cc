@@ -8,9 +8,10 @@
  *   simulated  harness::Engine runs the scenario's declarative loads
  *              (the deterministic batch path every other bench uses)
  *   served     an in-process serve::Daemon builds the identical fleet
- *              with LiveLoad sources, a serve::LoadClient drives half
- *              of fleet capacity over TCP loopback, and the online
- *              per-interval BDQ control produces the served-mode tail
+ *              with LiveLoad sources, a serve::LoadClient drives each
+ *              service at half its capacity over TCP loopback, and the
+ *              online per-interval BDQ control produces the served-mode
+ *              tail
  *   wire       a short saturation burst (default 8 connections at
  *              2M req/s offered) measuring what the framed protocol
  *              itself sustains on loopback, independent of the fleet
@@ -125,15 +126,15 @@ main(int argc, char **argv)
     {
         serve::Daemon daemon(spec, dopt);
         daemon.start();
-        double capacity = 0.0;
-        for (double rps : daemon.maxRps())
-            capacity += rps;
 
         serve::LoadClientOptions copt;
         copt.host = args.listen;
         copt.port = daemon.port();
         copt.connections = args.connections;
-        copt.rps = 0.5 * capacity; // the sim arm's mean fraction
+        // Each service at half its own capacity, the sim arm's mean
+        // fraction.
+        for (double rps : daemon.maxRps())
+            copt.serviceRps.push_back(0.5 * rps);
         copt.durationS = duration_s;
         const auto report = serve::runLoadClient(copt);
         daemon.requestShutdown();

@@ -7,12 +7,14 @@
 #
 # Asserts, end to end: the daemon binds and prints its port; the load
 # generator connects, gets every offered request acked, and exits 0;
-# the daemon accepts the same number of requests, writes node 0's BDQ
-# checkpoint, and reports a clean shutdown after SIGTERM (exit 0) —
-# the graceful-shutdown contract under a real signal, not just the
-# in-process test. The shutdown checkpoint then warm-starts a batch
-# fleet (`twig --checkpoint`, exit 0), and a copy with one byte
-# flipped is refused with exit 2 and a message naming the checksum.
+# the daemon accepts the same number of requests, writes one BDQ
+# checkpoint per node, and reports a clean shutdown after SIGTERM (exit
+# 0) — the graceful-shutdown contract under a real signal, not just the
+# in-process test. The per-node set then warm-starts a batch fleet of
+# the same shape (`twig --checkpoint 'node{node}.ckpt'`, exit 0), and a
+# copy of one file with one byte flipped is refused with exit 2 and a
+# message naming the checksum. A --final-checkpoint path without
+# {node} on the 4-node fleet is refused at start (exit 2).
 set -u
 
 cd "$(dirname "$0")/.."
@@ -31,10 +33,21 @@ done
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 serve_log="$workdir/serve.log"
-ckpt="$workdir/final.ckpt"
+ckpt_set="$workdir/node{node}.ckpt"
+ckpt="$workdir/node0.ckpt"
+
+# One file per node: a plain path on a 4-node fleet is refused at start.
+plain_out=$("$serve" --scenario scenarios/serve.json --duration-s 0.1 \
+    --final-checkpoint "$workdir/final.ckpt" 2>&1)
+plain_status=$?
+if [[ $plain_status -ne 2 ]] || ! grep -q '{node}' <<<"$plain_out"; then
+    printf '%s\n' "$plain_out"
+    echo "serve_smoke: FAIL (plain --final-checkpoint on 4 nodes: exit $plain_status, want 2 naming {node})" >&2
+    exit 1
+fi
 
 "$serve" --scenario scenarios/serve.json --interval-ms 20 \
-    --final-checkpoint "$ckpt" >"$serve_log" 2>&1 &
+    --final-checkpoint "$ckpt_set" >"$serve_log" 2>&1 &
 serve_pid=$!
 
 # Wait for the daemon to report its (ephemeral) port. Generous budget:
@@ -93,20 +106,23 @@ if ! grep -qE "accepted $offered requests" "$serve_log"; then
     echo "serve_smoke: FAIL (daemon did not accept all $offered offered requests)" >&2
     exit 1
 fi
-if [[ ! -s "$ckpt" ]]; then
-    echo "serve_smoke: FAIL (no final checkpoint written)" >&2
-    exit 1
-fi
+for n in 0 1 2 3; do
+    if [[ ! -s "$workdir/node$n.ckpt" ]]; then
+        echo "serve_smoke: FAIL (no final checkpoint written for node $n)" >&2
+        exit 1
+    fi
+done
 
 # The served fleet's online learning warm-starts a batch fleet of the
-# same shape (scenarios/serve.json: 4 nodes, Masstree + img-dnn).
+# same shape (scenarios/serve.json: 4 nodes, Masstree + img-dnn), each
+# node from its own file.
 warm=(--service masstree --service img-dnn --nodes 4 --steps 20)
-if ! warm_out=$("$twig" "${warm[@]}" --checkpoint "$ckpt" 2>&1); then
+if ! warm_out=$("$twig" "${warm[@]}" --checkpoint "$ckpt_set" 2>&1); then
     printf '%s\n' "$warm_out"
-    echo "serve_smoke: FAIL (twig --checkpoint rejected the daemon's checkpoint)" >&2
+    echo "serve_smoke: FAIL (twig --checkpoint rejected the daemon's checkpoints)" >&2
     exit 1
 fi
-echo "serve_smoke: twig --checkpoint warm-started from the daemon's checkpoint"
+echo "serve_smoke: twig --checkpoint warm-started from the daemon's per-node checkpoints"
 
 # One flipped byte mid-file must be refused: exit 2, checksum named.
 bad="$workdir/flipped.ckpt"
@@ -127,4 +143,4 @@ if [[ $bad_status -ne 2 ]] || ! grep -q checksum <<<"$bad_out"; then
     exit 1
 fi
 printf '%s\n' "$bad_out"
-echo "serve_smoke: OK (offered=$offered acked=$acked, checkpoint $(wc -c <"$ckpt") bytes)"
+echo "serve_smoke: OK (offered=$offered acked=$acked, checkpoints $(cat "$workdir"/node?.ckpt | wc -c) bytes)"

@@ -60,21 +60,24 @@ ServicePowerModel::fit(const std::vector<PowerSample> &samples,
         {0.0, std::sqrt(max_p / 1.2)} // omega: sqrt(W per GHz)
     };
 
-    const auto fold_idx = stats::kfoldSplit(samples.size(), folds, rng);
+    // Gather each held-out fold once: every search candidate scores
+    // the same folds in the same order.
+    std::vector<std::vector<PowerSample>> held_out;
+    for (const auto &idx : stats::kfoldSplit(samples.size(), folds, rng)) {
+        auto &fold = held_out.emplace_back();
+        fold.reserve(idx.size());
+        for (std::size_t i : idx)
+            fold.push_back(samples[i]);
+    }
 
     auto cv_mse = [&](const std::vector<double> &params) {
+        // Score on the held-out fold only; the model has no training
+        // step beyond its coefficients, so CV here guards against a
+        // lucky fit to a subset of the design points.
         double total = 0.0;
-        for (const auto &held_out : fold_idx) {
-            // Score on the held-out fold only; the model has no
-            // training step beyond its coefficients, so CV here guards
-            // against a lucky fit to a subset of the design points.
-            std::vector<PowerSample> fold;
-            fold.reserve(held_out.size());
-            for (std::size_t i : held_out)
-                fold.push_back(samples[i]);
+        for (const auto &fold : held_out)
             total += mseOn(fold, params[0], params[1], params[2]);
-        }
-        return total / static_cast<double>(fold_idx.size());
+        return total / static_cast<double>(held_out.size());
     };
 
     const auto result =

@@ -87,23 +87,26 @@ profilesFor(const std::vector<ServiceLoadSpec> &loads)
     return out;
 }
 
-/** "{cores}" in a checkpoint path expands to the node's core count
- * (per-machine-shape donor checkpoints). */
+} // namespace
+
 std::string
-expandCheckpoint(const std::string &path, std::size_t cores)
+expandCheckpoint(const std::string &path, std::size_t cores,
+                 std::size_t node)
 {
-    const std::string placeholder = "{cores}";
     std::string out = path;
-    for (std::size_t pos = out.find(placeholder);
-         pos != std::string::npos; pos = out.find(placeholder, pos)) {
-        const std::string n = std::to_string(cores);
-        out.replace(pos, placeholder.size(), n);
-        pos += n.size();
-    }
+    auto expand = [&out](const std::string &placeholder,
+                         std::size_t value) {
+        const std::string n = std::to_string(value);
+        for (std::size_t pos = out.find(placeholder);
+             pos != std::string::npos; pos = out.find(placeholder, pos)) {
+            out.replace(pos, placeholder.size(), n);
+            pos += n.size();
+        }
+    };
+    expand("{cores}", cores);
+    expand("{node}", node);
     return out;
 }
-
-} // namespace
 
 // --- EngineResult ----------------------------------------------------
 
@@ -348,7 +351,7 @@ buildFleet(const ScenarioSpec &spec, const ManagerRegistry &registry,
         const auto machine = nodeMachine(spec, n);
         setup.fleet->addNode(machine, factory,
                              expandCheckpoint(spec.checkpoint,
-                                              machine.numCores));
+                                              machine.numCores, n));
     }
     if (!spec.faults.empty())
         setup.fleet->setFaults(spec.faults);

@@ -61,6 +61,11 @@ struct FleetSetup
  * front-end clamps observed arrival rates to. */
 std::vector<double> fleetMaxRps(const ScenarioSpec &spec);
 
+/** @p path with "{cores}" expanded to @p cores (per-machine-shape
+ * donors) and "{node}" to the node index @p node (one file per node). */
+std::string expandCheckpoint(const std::string &path, std::size_t cores,
+                             std::size_t node);
+
 /**
  * Build the fleet a cluster-topology spec describes: nodes, managers
  * (warm-started from the spec's checkpoint when set), router policy

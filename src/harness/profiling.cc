@@ -46,11 +46,16 @@ profileServicePower(const sim::ServiceProfile &profile,
                     // An undersized configuration piles up a backlog;
                     // its power says nothing about steady operation,
                     // so the campaign drops the point (the paper
-                    // profiles working configurations).
+                    // profiles working configurations). The point is
+                    // dropped whatever its later intervals show, and
+                    // the server is private to it, so stopping here
+                    // leaves every sample as it was; it skips the
+                    // deepest-backlog intervals of the campaign.
                     if (svc.dropped > 0 ||
                         svc.queuedAtEnd >
                             svc.arrivals / 5 + 10) {
                         saturated = true;
+                        break;
                     }
                 }
                 if (saturated)

@@ -34,7 +34,13 @@ struct PowerProfilingOptions
     std::vector<std::size_t> coreCounts = {2, 4, 6, 8, 10, 12, 14, 16, 18};
     /** DVFS indices: "alternate DVFS states". */
     std::vector<std::size_t> dvfsStates = {0, 2, 4, 6, 8};
-    /** Intervals measured per configuration. */
+    /**
+     * Intervals measured per configuration. A configuration that
+     * overloads (drops requests or piles up a backlog) yields no
+     * sample, so its run ends at the first overloaded interval: its
+     * server is private and freshly seeded, so the later intervals
+     * could reach no sample.
+     */
     std::size_t intervalsPerConfig = 4;
 };
 

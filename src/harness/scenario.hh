@@ -147,8 +147,9 @@ struct ScenarioSpec
      * single domain (must not exceed the node count). */
     std::size_t domains = 1;
     /** Warm-start BDQ checkpoint for every node; "{cores}" expands to
-     * the node's core count (per-shape donors). Implies exploit-only
-     * twig nodes. */
+     * the node's core count (per-shape donors) and "{node}" to its
+     * index (per-node files, e.g. a daemon's final checkpoints).
+     * Implies exploit-only twig nodes. */
     std::string checkpoint;
     /** Fault schedule the run must survive (src/faults); empty = no
      * faults and a step loop byte-identical to a fault-free run. */

@@ -24,6 +24,14 @@ Daemon::Daemon(harness::ScenarioSpec spec, DaemonOptions options)
         spec_.validate(harness::ManagerRegistry::builtin());
     common::fatalIf(!err.empty(), "twig_serve: scenario '", spec_.name,
                     "': ", err);
+    common::fatalIf(spec_.totalNodes() > 1 &&
+                        !options_.finalCheckpoint.empty() &&
+                        options_.finalCheckpoint.find("{node}") ==
+                            std::string::npos,
+                    "twig_serve: final checkpoint '",
+                    options_.finalCheckpoint, "' has no {node} "
+                    "placeholder, but the fleet's ", spec_.totalNodes(),
+                    " nodes each write their own file");
 }
 
 Daemon::~Daemon()
@@ -250,15 +258,18 @@ Daemon::writeFinalCheckpoint(DaemonSummary &summary)
 {
     if (options_.finalCheckpoint.empty())
         return;
-    auto *twig = dynamic_cast<core::TwigManager *>(
-        &setup_.fleet->node(0).manager());
-    common::fatalIf(twig == nullptr,
-                    "twig_serve: --final-checkpoint needs a "
-                    "TwigManager on node 0 (manager is '",
-                    spec_.manager, "')");
-    twig->saveCheckpoint(options_.finalCheckpoint);
-    summary.checkpointBytes =
-        std::filesystem::file_size(options_.finalCheckpoint);
+    for (std::size_t n = 0; n < setup_.fleet->numNodes(); ++n) {
+        cluster::Node &node = setup_.fleet->node(n);
+        auto *twig = dynamic_cast<core::TwigManager *>(&node.manager());
+        common::fatalIf(twig == nullptr,
+                        "twig_serve: --final-checkpoint needs a "
+                        "TwigManager on every node (manager is '",
+                        spec_.manager, "')");
+        const std::string path = harness::expandCheckpoint(
+            options_.finalCheckpoint, node.machine().numCores, n);
+        twig->saveCheckpoint(path);
+        summary.checkpointBytes += std::filesystem::file_size(path);
+    }
 }
 
 DaemonSummary

@@ -31,9 +31,9 @@
  * current interval and stops; the event thread stops accepting,
  * drains in-flight connections — buffered frames are parsed and
  * answered, queued acks are flushed — and closes them; join() then
- * writes node 0's BDQ as a checkpoint file (rl/checkpoint.hh: the
- * same checksummed format `twig --checkpoint` warm-starts from) and
- * returns the run summary. No mid-frame aborts.
+ * writes each node's BDQ as a checkpoint file (rl/checkpoint.hh: the
+ * same checksummed format `twig --checkpoint` warm-starts from, one
+ * file per node) and returns the run summary. No mid-frame aborts.
  */
 
 #ifndef TWIG_SERVE_DAEMON_HH
@@ -75,8 +75,11 @@ struct DaemonOptions
     std::size_t jobs = 1;
     /** Trailing summary window in intervals (0 = the spec's). */
     std::size_t windowIntervals = 0;
-    /** Write node 0's BDQ checkpoint here at shutdown ("" = skip;
-     * needs a TwigManager on node 0). */
+    /** Write each node's BDQ checkpoint here at shutdown ("" = skip;
+     * needs a TwigManager on every node). "{node}" expands to the node
+     * index and "{cores}" to its core count (see
+     * harness::expandCheckpoint); a fleet of more than one node needs
+     * "{node}", or the constructor throws. */
     std::string finalCheckpoint;
     /** Connection-drain budget at shutdown. */
     int drainMs = 250;
@@ -100,7 +103,8 @@ struct DaemonSummary
     /** Raw (pre-clamp) observed RPS per service over the window:
      * arrivals divided by the wall time the window spanned. */
     std::vector<double> observedRps;
-    /** Bytes of the final checkpoint file (0 without a path). */
+    /** Bytes of the final checkpoint files, all nodes (0 without a
+     * path). */
     std::size_t checkpointBytes = 0;
     ListenerStats listener;
 };

@@ -217,13 +217,25 @@ runConnection(const LoadClientOptions &options, std::size_t index,
     }
     out.numServices = hello_ack.numServices;
     const std::size_t services = hello_ack.numServices;
+    if (!options.serviceRps.empty() &&
+        options.serviceRps.size() != services) {
+        out.error = "handshake reported " + std::to_string(services) +
+            " services, options give rates for " +
+            std::to_string(options.serviceRps.size());
+        out.failed = true;
+        ::close(fd);
+        return;
+    }
 
     const double tick_s = options.batchMs * 1e-3;
     const auto tick = std::chrono::duration_cast<clock::duration>(
         std::chrono::duration<double>(tick_s));
-    const double per_service_rps = options.rps /
-        static_cast<double>(options.connections) /
-        static_cast<double>(services);
+    std::vector<double> per_service_rps(
+        services, options.rps / static_cast<double>(options.connections) /
+            static_cast<double>(services));
+    for (std::size_t s = 0; s < options.serviceRps.size(); ++s)
+        per_service_rps[s] = options.serviceRps[s] /
+            static_cast<double>(options.connections);
 
     std::vector<double> carry(services, 0.0);
     std::uint64_t next_tag = index << 32; // per-connection tag space
@@ -245,7 +257,7 @@ runConnection(const LoadClientOptions &options, std::size_t index,
 
         wire.clear();
         for (std::size_t s = 0; s < services; ++s) {
-            carry[s] += per_service_rps * tick_s;
+            carry[s] += per_service_rps[s] * tick_s;
             const double whole = std::floor(carry[s]);
             if (whole < 1.0)
                 continue;

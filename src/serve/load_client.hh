@@ -46,8 +46,13 @@ struct LoadClientOptions
     std::size_t connections = 8;
     /** Total offered request rate across all connections, split
      * evenly over the daemon's services (the handshake reports how
-     * many there are). */
+     * many there are). Ignored when serviceRps is set. */
     double rps = 100000.0;
+    /** Offered rate of each service across all connections, in the
+     * daemon's service order (empty = the even split of rps). A
+     * connection whose handshake reports another service count
+     * fails. */
+    std::vector<double> serviceRps;
     /** Wall-clock run length. */
     double durationS = 1.0;
     /** Open-loop batch tick. Smaller = smoother arrivals, more

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "baselines/static_manager.hh"
+#include "common/hash.hh"
 #include "harness/metrics.hh"
 #include "harness/profiling.hh"
 #include "harness/runner.hh"
+#include "harness/sim_profile.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
 #include "sim/server.hh"
@@ -249,6 +253,103 @@ TEST(Profiling, MakeTwigSpecProducesUsableModel)
     const double p = spec.powerModel.predict(0.5, 10.0, 1.8);
     EXPECT_GT(p, 5.0);
     EXPECT_LT(p, 120.0);
+}
+
+namespace {
+
+/** FNV-1a over every field of every sample, in campaign order. */
+std::uint64_t
+campaignDigest(const std::vector<core::PowerSample> &samples)
+{
+    std::uint64_t h = common::kFnvOffsetBasis;
+    for (const auto &s : samples) {
+        for (double v :
+             {s.loadFraction, s.numCores, s.dvfsGhz, s.dynamicPowerW})
+            h = common::fnv1aValue(std::bit_cast<std::uint64_t>(v), h);
+    }
+    return h;
+}
+
+sim::MachineConfig
+machineWithCores(std::size_t cores)
+{
+    sim::MachineConfig m;
+    m.numCores = cores;
+    return m;
+}
+
+} // namespace
+
+TEST(Profiling, CampaignAndFitArePinnedBitForBit)
+{
+    // The Eq. 2 campaign and its random-search fit at seed 123, pinned
+    // bit for bit on both machine shapes the fleets use: any change to
+    // what the campaign measures or how the fit scores moves one of
+    // these.
+    struct Case
+    {
+        const char *service;
+        std::size_t cores;
+        std::size_t samples;
+        std::uint64_t digest;
+        std::uint64_t kappa, sigma, omega;
+    };
+    const Case cases[] = {
+        {"masstree", 18, 70, 0xeeac1f3d73558ca8ULL,
+         0x40530cad8570509fULL, 0x3fb6a28bc13ba5d8ULL, 0x40015fd243cc2c20ULL},
+        {"masstree", 6, 8, 0x8d930eea8314a822ULL,
+         0x3f9bf15cfc2db99cULL, 0x3fb67f07a9143baaULL, 0x4009e78326b1542eULL},
+        {"img-dnn", 18, 70, 0x3dbf0d39f6380a91ULL,
+         0x4051ff97f164980aULL, 0x3f9b52ed7134ff11ULL, 0x40028d1c966be219ULL},
+        {"img-dnn", 6, 8, 0xc4b548e15492ee2cULL,
+         0x40130d52e8f81116ULL, 0x3fd2a841142bbc05ULL, 0x40082ced8277841dULL},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.service) + " on " +
+                     std::to_string(c.cores) + " cores");
+        const auto profile = services::byName(c.service);
+        const auto machine = machineWithCores(c.cores);
+        const auto samples =
+            profileServicePower(profile, machine, {}, 123);
+        EXPECT_EQ(samples.size(), c.samples);
+        EXPECT_EQ(campaignDigest(samples), c.digest);
+        const auto spec = makeTwigSpec(profile, machine, 123);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(spec.powerModel.kappa()),
+                  c.kappa);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(spec.powerModel.sigma()),
+                  c.sigma);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(spec.powerModel.omega()),
+                  c.omega);
+    }
+}
+
+TEST(Profiling, SaturatedConfigurationsStopAtTheirFirstOverloadedInterval)
+{
+    // One interference evaluation per simulated interval. A kept
+    // configuration runs all of its intervals; a saturated one stops
+    // at its first overloaded interval instead of running them all.
+    const PowerProfilingOptions opt;
+    const std::size_t configs = opt.loadLevels.size() *
+        opt.coreCounts.size() * opt.dvfsStates.size();
+    ASSERT_EQ(configs, 135u);
+
+    SimProfile::enable();
+    const SimProfile before = SimProfile::snapshot();
+    const auto samples = profileServicePower(
+        services::masstree(), machineWithCores(18), opt, 123);
+    const std::uint64_t intervals =
+        SimProfile::snapshot()
+            .since(before)
+            .phase(common::simprof::Phase::Interference)
+            .calls;
+    SimProfile::disable();
+
+    const std::size_t saturated = configs - samples.size();
+    EXPECT_EQ(samples.size(), 70u);
+    EXPECT_EQ(intervals, 360u);
+    EXPECT_LT(intervals, opt.intervalsPerConfig * configs);
+    EXPECT_GE(intervals, opt.intervalsPerConfig * samples.size() +
+                             saturated);
 }
 
 TEST(Profiling, MakeBaselineSpecCopiesFields)

@@ -28,6 +28,7 @@
 #include "serve/daemon.hh"
 #include "serve/load_client.hh"
 #include "serve/protocol.hh"
+#include "sim/machine.hh"
 
 using namespace twig;
 
@@ -75,12 +76,20 @@ freshNodeCheckpoint(const harness::ScenarioSpec &spec, std::size_t n,
     return readFileBytes(path);
 }
 
+/** Node @p n's file of a "{node}" checkpoint path set. */
+std::string
+nodeCheckpointPath(const std::string &path, std::size_t n)
+{
+    return harness::expandCheckpoint(path, sim::MachineConfig{}.numCores,
+                                     n);
+}
+
 } // namespace
 
 TEST(Serve, LoopbackRoundTripAndGracefulShutdown)
 {
     const std::string ckpt_path =
-        ::testing::TempDir() + "serve_daemon_test.ckpt";
+        ::testing::TempDir() + "serve_daemon_test_node{node}.ckpt";
     serve::DaemonOptions dopt;
     dopt.port = 0; // ephemeral
     dopt.intervalMs = 5.0;
@@ -126,32 +135,65 @@ TEST(Serve, LoopbackRoundTripAndGracefulShutdown)
     ASSERT_EQ(summary.observedRps.size(), 1u);
     EXPECT_GT(summary.observedRps[0], 0.0);
 
-    // The shutdown checkpoint loads into a fresh fleet's manager,
-    // which re-saves it byte for byte.
-    const std::string saved = readFileBytes(ckpt_path);
-    EXPECT_EQ(summary.checkpointBytes, saved.size());
+    // Every node's shutdown checkpoint loads into the same node of a
+    // fresh fleet warm-started from the set, which re-saves it byte
+    // for byte.
     auto spec = smallSpec();
     spec.checkpoint = ckpt_path;
-    const std::string resaved_path = ckpt_path + ".resaved";
-    EXPECT_TRUE(freshNodeCheckpoint(spec, 0, resaved_path) == saved)
-        << "re-saved checkpoint differs from the daemon's";
+    const std::string resaved_path =
+        ::testing::TempDir() + "serve_daemon_test.resaved";
+    std::size_t total_bytes = 0;
+    for (std::size_t n = 0; n < spec.nodes; ++n) {
+        const std::string path = nodeCheckpointPath(ckpt_path, n);
+        const std::string saved = readFileBytes(path);
+        ASSERT_FALSE(saved.empty()) << path;
+        total_bytes += saved.size();
+        EXPECT_TRUE(freshNodeCheckpoint(spec, n, resaved_path) == saved)
+            << "node " << n << ": re-saved checkpoint differs from the "
+            << "daemon's";
+    }
+    EXPECT_EQ(summary.checkpointBytes, total_bytes);
+    for (std::size_t n = 0; n < spec.nodes; ++n)
+        std::remove(nodeCheckpointPath(ckpt_path, n).c_str());
     std::remove(resaved_path.c_str());
-    std::remove(ckpt_path.c_str());
+}
+
+TEST(Serve, MultiNodeFinalCheckpointNeedsANodePlaceholder)
+{
+    serve::DaemonOptions dopt;
+    dopt.finalCheckpoint = ::testing::TempDir() + "fleet.ckpt";
+    EXPECT_THROW(serve::Daemon(smallSpec(), dopt), common::FatalError);
+
+    // One node writes one file, so the plain path stands.
+    auto spec = smallSpec();
+    spec.nodes = 1;
+    EXPECT_NO_THROW(serve::Daemon(spec, dopt));
+}
+
+TEST(Serve, ExpandCheckpointFillsCoresAndNode)
+{
+    EXPECT_EQ(harness::expandCheckpoint("d/{cores}c-n{node}.ckpt", 18, 3),
+              "d/18c-n3.ckpt");
+    EXPECT_EQ(harness::expandCheckpoint("{node}{node}", 6, 12), "1212");
+    EXPECT_EQ(harness::expandCheckpoint("donor.ckpt", 6, 1),
+              "donor.ckpt");
 }
 
 TEST(Serve, FinalCheckpointWarmStartsAFleetAndRejectsAFlippedByte)
 {
-    const std::string ckpt_path =
-        ::testing::TempDir() + "serve_donor_test.ckpt";
+    const std::string ckpt_set =
+        ::testing::TempDir() + "serve_donor_test_node{node}.ckpt";
     serve::DaemonOptions dopt;
     dopt.intervalMs = 5.0;
     dopt.durationS = 0.1;
-    dopt.finalCheckpoint = ckpt_path;
+    dopt.finalCheckpoint = ckpt_set;
     serve::Daemon daemon(smallSpec(), dopt);
     daemon.start();
     const auto summary = daemon.join();
+    const std::string ckpt_path = nodeCheckpointPath(ckpt_set, 0);
     const std::string saved = readFileBytes(ckpt_path);
-    ASSERT_EQ(summary.checkpointBytes, saved.size());
+    ASSERT_EQ(summary.checkpointBytes, 2 * saved.size());
+    std::remove(nodeCheckpointPath(ckpt_set, 1).c_str());
 
     // The served fleet's node 0 is a donor, exactly as for
     // `twig --checkpoint`: every node of the new fleet starts from it.
@@ -260,6 +302,43 @@ TEST(Serve, DurationHoldsWhenTheControlLoopOverruns)
     EXPECT_LE(summary.wallSeconds, dopt.durationS + 8.0 * mean_step_s)
         << summary.intervals << " intervals, " << summary.overruns
         << " overran";
+}
+
+TEST(Serve, LoadClientOffersEachServiceItsOwnRate)
+{
+    auto spec = smallSpec();
+    harness::ServiceLoadSpec second = spec.services[0];
+    second.service = "img-dnn";
+    spec.services.push_back(second);
+    serve::DaemonOptions dopt;
+    dopt.intervalMs = 5.0;
+    serve::Daemon daemon(spec, dopt);
+    daemon.start();
+
+    serve::LoadClientOptions copt;
+    copt.port = daemon.port();
+    copt.connections = 2;
+    copt.durationS = 0.3;
+    copt.statsIntervalS = 0.0;
+    // A rate per service the daemon does not have fails the run.
+    copt.serviceRps = {1000.0, 1000.0, 1000.0};
+    const auto refused = serve::runLoadClient(copt);
+    EXPECT_EQ(refused.failedConnections, 2u);
+    ASSERT_FALSE(refused.errors.empty());
+    EXPECT_NE(refused.errors[0].find("rates for 3"), std::string::npos)
+        << refused.errors[0];
+
+    copt.serviceRps = {4000.0, 1000.0};
+    const auto report = serve::runLoadClient(copt);
+    for (const auto &err : report.errors)
+        ADD_FAILURE() << err;
+    daemon.requestShutdown();
+    const auto summary = daemon.join();
+    EXPECT_EQ(summary.acceptedRequests, report.sent);
+    ASSERT_EQ(summary.observedRps.size(), 2u);
+    // 4:1 offered; an even split would observe 1:1.
+    EXPECT_GT(summary.observedRps[0], 2.0 * summary.observedRps[1]);
+    EXPECT_GT(summary.observedRps[1], 0.0);
 }
 
 TEST(Serve, GarbageBytesDisconnectWithoutHarm)

@@ -125,8 +125,9 @@ makeParser(Options &opt)
     p.addBool("--hetero", &opt.hetero,
               "alternate full-size and 6-core nodes");
     p.addString("--checkpoint", &opt.checkpoint,
-                "warm-start every Twig node from this BDQ checkpoint and "
-                "run it exploit-only");
+                "warm-start every Twig node from this BDQ checkpoint "
+                "({cores} and {node} expand per node) and run it "
+                "exploit-only");
     p.addString("--save-checkpoint", &opt.saveCheckpoint,
                 "save node 0's trained BDQ after the run");
     p.addMinMax("--autoscale", &opt.autoscaleMin, &opt.autoscaleMax,

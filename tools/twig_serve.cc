@@ -10,14 +10,17 @@
  * arrival window into per-service RPS and steps the fleet one control
  * interval, so the per-node BDQ policies run online against measured
  * load. SIGINT/SIGTERM (or --duration-s elapsing) shuts down
- * gracefully: in-flight connections drain, node 0's BDQ is written as
- * a checkpoint file (a warm-start donor for `twig --checkpoint`), and
- * the exit code is 0.
+ * gracefully: in-flight connections drain, each node's BDQ is written
+ * as a checkpoint file ("{node}" in the path expands to the node index;
+ * `twig --checkpoint` warm-starts a fleet from the set, or from one
+ * file as a donor), and the exit code is 0. Bad input (flags, scenario,
+ * a multi-node --final-checkpoint without "{node}") exits 2 with a
+ * message.
  *
  * Examples:
  *   twig_serve --scenario scenarios/serve.json
  *   twig_serve --scenario scenarios/serve.json --port 7411 \
- *       --interval-ms 50 --final-checkpoint serve.ckpt
+ *       --interval-ms 50 --final-checkpoint 'serve-node{node}.ckpt'
  *   twig_serve --scenario scenarios/serve.json --duration-s 10 --jobs 4
  */
 
@@ -26,6 +29,7 @@
 #include <ctime>
 #include <string>
 
+#include "common/error.hh"
 #include "common/flags.hh"
 #include "harness/scenario.hh"
 #include "serve/daemon.hh"
@@ -69,35 +73,15 @@ makeParser(Options &opt)
                     "summary window in intervals (default: the "
                     "scenario's)");
     parser.addString("--final-checkpoint", &opt.finalCheckpoint,
-                     "write node 0's BDQ checkpoint at shutdown "
-                     "(a donor for twig --checkpoint)");
+                     "write each node's BDQ checkpoint at shutdown; "
+                     "{node} expands to the node index (needed on "
+                     "fleets of more than one node)");
     return parser;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runDaemon(const Options &opt)
 {
-    Options opt;
-    const auto parser = makeParser(opt);
-    const auto parsed = parser.parse(argc, argv);
-    if (parsed.helpRequested) {
-        std::printf("usage: %s --scenario FILE [options]\n%s", argv[0],
-                    parser.usageLines().c_str());
-        return 0;
-    }
-    if (!parsed.error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", argv[0],
-                     parsed.error.c_str());
-        return 2;
-    }
-    if (opt.scenario.empty()) {
-        std::fprintf(stderr, "%s: need --scenario FILE (see --help)\n",
-                     argv[0]);
-        return 2;
-    }
-
     serve::DaemonOptions dopt;
     dopt.listen = opt.listen;
     dopt.port = static_cast<std::uint16_t>(opt.port);
@@ -166,10 +150,42 @@ main(int argc, char **argv)
                 "intervals\n",
                 m.meanPowerW, m.windowSteps);
     if (summary.checkpointBytes != 0) {
-        std::printf("  final checkpoint: %s (%zu bytes)\n",
+        std::printf("  final checkpoints: %s (%zu bytes, all nodes)\n",
                     opt.finalCheckpoint.c_str(),
                     summary.checkpointBytes);
     }
     std::printf("twig_serve: clean shutdown\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    Options opt;
+    const auto parser = makeParser(opt);
+    const auto parsed = parser.parse(argc, argv);
+    if (parsed.helpRequested) {
+        std::printf("usage: %s --scenario FILE [options]\n%s", argv[0],
+                    parser.usageLines().c_str());
+        return 0;
+    }
+    if (!parsed.error.empty()) {
+        std::fprintf(stderr, "%s: %s\n", argv[0],
+                     parsed.error.c_str());
+        return 2;
+    }
+    if (opt.scenario.empty()) {
+        std::fprintf(stderr, "%s: need --scenario FILE (see --help)\n",
+                     argv[0]);
+        return 2;
+    }
+    try {
+        return runDaemon(opt);
+    } catch (const common::FatalError &e) {
+        // Daemon messages name the tool already.
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }
