@@ -14,12 +14,18 @@
  * A second table times the 17 GEMM shapes of one fast-preset training
  * step (forward, dW and dX) in GMAC/s against the same reference
  * loops, and a fast-preset trainStep() row follows the paper-net one.
+ * A third times the 5 ReLU-epilogue shapes (the fast preset's three,
+ * the paper net's head and branch) bias-only, with ReLU and mask, and
+ * with the evaluation passes' maskless ReLU; then the fast-preset
+ * trainStep() is split into its forwards, backward and Adam step, and
+ * its dX GEMMs are timed with and without packing B^T.
  *
  * Also checks bit-identity: the Adam kernel against
  * nn::reference::adamStep over the warm-up, each column-tail GEMM
  * against the same product on B zero-padded to whole 16-column tiles,
- * and the strided (unpacked) A^T products against the row-major
- * product of an explicitly transposed copy.
+ * the strided (unpacked) A^T products against the row-major product
+ * of an explicitly transposed copy, and the ReLU epilogue and
+ * ReLU::backward against the seed's scalar `v > 0 ? v : 0` formula.
  *
  * Emits a human-readable table and machine-readable JSON
  * (BENCH_kernels.json, or --out PATH).
@@ -30,6 +36,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +45,7 @@
 #include "common/rng.hh"
 #include "core/twig_manager.hh"
 #include "nn/adam.hh"
+#include "nn/layers.hh"
 #include "nn/matrix.hh"
 #include "rl/bdq_learner.hh"
 #include "sim/pmc.hh"
@@ -123,6 +132,36 @@ timeUs(F &&f)
     return best;
 }
 
+/**
+ * Mean microseconds per call of each of @p fns: the best of 7 trials
+ * of a calibrated batch (~5 ms), the trials of all of them
+ * interleaved, so a slow stretch of a shared host hits every
+ * measurement alike rather than one of them -- for figures that are
+ * subtracted from each other.
+ */
+std::vector<double>
+timeInterleavedUs(const std::vector<std::function<void()>> &fns)
+{
+    std::vector<int> reps;
+    for (const auto &f : fns) {
+        f();
+        const double t0 = nowUs();
+        f();
+        const double once = std::max(nowUs() - t0, 0.01);
+        reps.push_back(std::clamp(static_cast<int>(5000.0 / once), 3, 20000));
+    }
+    std::vector<double> best(fns.size(), 1e300);
+    for (int trial = 0; trial < 7; ++trial) {
+        for (std::size_t i = 0; i < fns.size(); ++i) {
+            const double start = nowUs();
+            for (int r = 0; r < reps[i]; ++r)
+                fns[i]();
+            best[i] = std::min(best[i], (nowUs() - start) / reps[i]);
+        }
+    }
+    return best;
+}
+
 struct Row
 {
     std::string shape;
@@ -203,6 +242,15 @@ benchStepGemm(const Shape &s, common::Rng &rng)
     return row;
 }
 
+// The GEMMs that carry the bias+ReLU epilogue: the fast preset's trunk,
+// agent-embedding and branch-hidden layers, then the paper net's head
+// and branch layers.
+const Shape kReluShapes[] = {
+    {"f_trunk", 32, 64, 22},  {"f_embed", 32, 32, 64},
+    {"f_hidden", 64, 32, 32}, {"head", 64, 128, 256},
+    {"branch", 64, 128, 128},
+};
+
 /** Billions of multiply-adds per second of an m x n x k GEMM. */
 double
 gmacs(const Row &r, double us)
@@ -277,6 +325,84 @@ tailMatchesPadded(const Shape &s, common::Rng &rng)
     nn::matmulTransposeA(at, b, got);
     nn::matmulTransposeA(at, bp, padded);
     return ok && firstCols(padded, got);
+}
+
+/** One ReLU-epilogue shape: the same GEMM with each epilogue. */
+struct ReluRow
+{
+    Shape shape;
+    double biasUs = 0.0;     ///< matmulBias
+    double reluUs = 0.0;     ///< matmulBiasRelu, mask written (train)
+    double reluEvalUs = 0.0; ///< matmulBiasRelu, no mask (evaluation)
+};
+
+ReluRow
+benchRelu(const Shape &s, common::Rng &rng)
+{
+    Matrix x(s.m, s.k), w(s.k, s.n), out(s.m, s.n);
+    fillRandom(x, rng);
+    fillRandom(w, rng);
+    std::vector<float> bias(s.n);
+    for (auto &b : bias)
+        b = static_cast<float>(rng.uniform() - 0.5);
+    std::vector<unsigned char> mask;
+    ReluRow row{s};
+    row.biasUs = timeUs([&] { nn::matmulBias(x, w, bias, out); });
+    row.reluUs =
+        timeUs([&] { nn::matmulBiasRelu(x, w, bias, out, mask); });
+    row.reluEvalUs =
+        timeUs([&] { nn::matmulBiasRelu(x, w, bias, out, nullptr); });
+    g_sink = out(0, 0);
+    return row;
+}
+
+/**
+ * Whether the bias+ReLU epilogue (with and without its mask) and
+ * ReLU::backward (out of place and in place) match the seed's scalar
+ * formulas bit for bit on @p s, with exact-zero, NaN, infinite and
+ * subnormal pre-activations and gradients mixed in, and every mask
+ * byte exactly 0 or 1.
+ */
+bool
+reluMatchesScalar(const Shape &s, common::Rng &rng)
+{
+    const float specials[] = {0.0f, -0.0f, std::nanf(""), INFINITY,
+                              -INFINITY, 1e-40f, -1e-40f};
+    Matrix x(s.m, s.k), w(s.k, s.n);
+    fillRandom(x, rng);
+    fillRandom(w, rng);
+    for (std::size_t p = 0; p < s.k; ++p)
+        x(0, p) = 0.0f; // row 0: pre-activation = bias
+    std::vector<float> bias(s.n);
+    for (std::size_t j = 0; j < s.n; ++j)
+        bias[j] = j % 3 == 0 ? specials[(j / 3) % 7]
+                             : static_cast<float>(rng.uniform() - 0.5);
+    Matrix pre, got, evalOut(s.m, s.n);
+    std::vector<unsigned char> mask;
+    nn::matmulBias(x, w, bias, pre);
+    nn::matmulBiasRelu(x, w, bias, got, mask);
+    nn::matmulBiasRelu(x, w, bias, evalOut, nullptr);
+    bool ok = std::memcmp(got.data(), evalOut.data(),
+                          got.size() * sizeof(float)) == 0;
+    Matrix dy(s.m, s.n), want(s.m, s.n), dx;
+    fillRandom(dy, rng);
+    for (std::size_t i = 0; i < pre.size(); ++i) {
+        const float v = pre.data()[i];
+        const float relu = v > 0.0f ? v : 0.0f;
+        ok = ok && std::memcmp(&relu, got.data() + i, sizeof relu) == 0 &&
+            mask[i] == (v > 0.0f ? 1 : 0);
+        if (i % 5 == 0)
+            dy.data()[i] = specials[(i / 5) % 7];
+        want.data()[i] = v > 0.0f ? dy.data()[i] : 0.0f;
+    }
+    nn::ReLU relu;
+    relu.forward(pre, got);
+    relu.backward(dy, dx);
+    ok = ok && std::memcmp(dx.data(), want.data(),
+                           want.size() * sizeof(float)) == 0;
+    relu.backward(dy, dy);
+    return ok && std::memcmp(dy.data(), want.data(),
+                             want.size() * sizeof(float)) == 0;
 }
 
 /** The warmed Adam measurement. */
@@ -399,9 +525,9 @@ fastLearner()
     return cfg;
 }
 
-/** One trainStep() of @p cfg's learner, replay pre-filled. */
-double
-benchTrainStep(rl::BdqLearnerConfig cfg, std::uint64_t seed)
+/** A learner of @p cfg with 256 transitions in its replay. */
+std::unique_ptr<rl::BdqLearner>
+filledLearner(rl::BdqLearnerConfig cfg, std::uint64_t seed)
 {
     cfg.replay.capacity = 4096;
     cfg.minReplayBeforeTraining = 64;
@@ -409,7 +535,7 @@ benchTrainStep(rl::BdqLearnerConfig cfg, std::uint64_t seed)
     const std::size_t dvfs = cfg.net.branchActions[1];
 
     common::Rng rng(seed);
-    rl::BdqLearner learner(cfg, rng);
+    auto learner = std::make_unique<rl::BdqLearner>(cfg, rng);
     common::Rng env(seed + 1);
     for (int i = 0; i < 256; ++i) {
         rl::Transition t;
@@ -421,9 +547,126 @@ benchTrainStep(rl::BdqLearnerConfig cfg, std::uint64_t seed)
                 {env.uniformInt(cores), env.uniformInt(dvfs)});
             t.rewards.push_back(env.uniform());
         }
-        learner.observe(t);
+        learner->observe(t);
     }
-    return timeUs([&] { learner.trainStep(); });
+    return learner;
+}
+
+/** One trainStep() of @p cfg's learner, replay pre-filled. */
+double
+benchTrainStep(const rl::BdqLearnerConfig &cfg, std::uint64_t seed)
+{
+    auto learner = filledLearner(cfg, seed);
+    return timeUs([&] { learner->trainStep(); });
+}
+
+/**
+ * The parts of one fast-preset trainStep(), each timed through the
+ * online network's public calls as the step makes them: two
+ * evaluation forwards (online and target net on the next states), the
+ * train forward, backward and Adam. "other" is the rest of the step
+ * (replay sampling, TD targets, priorities): the whole step less the
+ * parts.
+ */
+struct StepSplit
+{
+    double stepUs = 0.0;
+    double evalForwardUs = 0.0; ///< one of the two
+    double trainForwardUs = 0.0;
+    double backwardUs = 0.0;
+    double adamUs = 0.0;
+    double otherUs() const
+    {
+        return stepUs - 2.0 * evalForwardUs - trainForwardUs - backwardUs -
+            adamUs;
+    }
+};
+
+StepSplit
+benchStepSplit(const rl::BdqLearnerConfig &cfg, std::uint64_t seed)
+{
+    auto learner = filledLearner(cfg, seed);
+    nn::MultiAgentBdq &net = learner->onlineNetwork();
+    common::Rng rng(seed + 2);
+    Matrix x(cfg.minibatch, cfg.net.inputDim());
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x.data()[i] = static_cast<float>(rng.uniform());
+    // One Huber-clipped TD gradient per agent, branch and row, on the
+    // replayed action, as the step builds dq.
+    std::vector<std::vector<Matrix>> dq(cfg.net.numAgents);
+    for (auto &per_agent : dq) {
+        for (std::size_t n : cfg.net.branchActions) {
+            per_agent.emplace_back(cfg.minibatch, n, 0.0f);
+            for (std::size_t i = 0; i < cfg.minibatch; ++i)
+                per_agent.back()(i, rng.uniformInt(n)) =
+                    static_cast<float>(rng.uniform() - 0.5) * 0.01f;
+        }
+    }
+    // The timed loops repeat a call thousands of times. Each flips the
+    // sign of dq, so the accumulated gradient and the weights oscillate
+    // instead of drifting into overflow; Adam runs after a fresh
+    // backward each time, as in the step (Adam steps on the zeroed
+    // gradient alone would decay the moments into the subnormals).
+    const auto flip = [&dq] {
+        for (auto &per_agent : dq)
+            for (auto &m : per_agent)
+                m.scaleInPlace(-1.0f);
+    };
+    // Backward and Adam are timed behind the train forward that they
+    // need and then less it, as the step runs them.
+    nn::BdqOutput out;
+    const std::vector<double> us = timeInterleavedUs({
+        [&] { learner->trainStep(); },
+        [&] { net.forward(x, out, false); },
+        [&] { net.forward(x, out, true); },
+        [&] {
+            net.forward(x, out, true);
+            flip();
+            net.backward(dq);
+        },
+        [&] {
+            net.forward(x, out, true);
+            flip();
+            net.backward(dq);
+            net.adamStep();
+        },
+    });
+    StepSplit split;
+    split.stepUs = us[0];
+    split.evalForwardUs = us[1];
+    split.trainForwardUs = us[2];
+    split.backwardUs = us[3] - us[2];
+    split.adamUs = us[4] - us[3];
+    return split;
+}
+
+/** The fast-preset step's dX GEMMs (dy W^T), summed: as the step runs
+ * them, packing W^T per call, and on a W^T packed beforehand. */
+struct PackRow
+{
+    double packedPerCallUs = 0.0;
+    double preTransposedUs = 0.0;
+};
+
+PackRow
+benchDxPack(common::Rng &rng)
+{
+    PackRow row;
+    for (const auto &s : kFastStep) {
+        if (std::strcmp(s.name, "dX") != 0)
+            continue;
+        Matrix dy(s.m, s.k), w(s.n, s.k), wt(s.k, s.n), out;
+        fillRandom(dy, rng);
+        fillRandom(w, rng);
+        for (std::size_t j = 0; j < s.n; ++j)
+            for (std::size_t p = 0; p < s.k; ++p)
+                wt(p, j) = w(j, p);
+        row.packedPerCallUs +=
+            timeUs([&] { nn::matmulTransposeB(dy, w, out); });
+        row.preTransposedUs += timeUs([&] { nn::matmul(dy, wt, out); });
+        g_sink = out(0, 0);
+    }
+    return row;
 }
 
 } // namespace
@@ -486,6 +729,29 @@ main(int argc, char **argv)
                     gmacs(r, r.referenceUs), r.speedup());
     }
 
+    std::printf("\nReLU epilogue: the same GEMM bias-only, with ReLU "
+                "and mask (train), with ReLU only (evaluation)\n");
+    std::printf("%-9s %18s %10s %10s %10s %10s\n", "shape", "m x n x k",
+                "bias(us)", "relu(us)", "eval(us)", "relu/bias");
+    std::vector<ReluRow> relu_rows;
+    for (const auto &s : kReluShapes) {
+        relu_rows.push_back(benchRelu(s, rng));
+        const ReluRow &r = relu_rows.back();
+        std::printf("%-9s %6zu x %4zu x %4zu %10.2f %10.2f %10.2f "
+                    "%9.2fx\n",
+                    s.name, s.m, s.n, s.k, r.biasUs, r.reluUs,
+                    r.reluEvalUs, r.reluUs / r.biasUs);
+    }
+    bool relu_equal = true;
+    for (const auto &s : kReluShapes)
+        relu_equal = relu_equal && reluMatchesScalar(s, rng);
+    for (const Shape s : {Shape{"tails", 13, 21, 5}, Shape{"one", 1, 1, 1},
+                          Shape{"rows7", 7, 33, 9}})
+        relu_equal = relu_equal && reluMatchesScalar(s, rng);
+    std::printf("ReLU epilogue and ReLU::backward bit-identical to the "
+                "scalar formula: %s\n",
+                relu_equal ? "yes" : "NO");
+
     const AdamRow adam = benchAdam(args.seed);
     std::printf("\nAdam, %zu params warmed 1000 steps (%.0f%% zero "
                 "gradients, %.0f%% of m subnormal): kernel %.2f ns/param, "
@@ -502,6 +768,18 @@ main(int argc, char **argv)
     std::printf("BdqLearner::trainStep (fast preset, batch 32): "
                 "%.1f us\n",
                 fast_train_us);
+    const StepSplit split = benchStepSplit(fastLearner(), args.seed);
+    std::printf("  split: 2 x eval forward %.1f us, train forward %.1f "
+                "us, backward %.1f us, Adam %.1f us (%.0f%%), other "
+                "%.1f us, of %.1f us\n",
+                split.evalForwardUs, split.trainForwardUs,
+                split.backwardUs, split.adamUs,
+                100.0 * split.adamUs / split.stepUs, split.otherUs(),
+                split.stepUs);
+    const PackRow pack = benchDxPack(rng);
+    std::printf("  dX GEMMs: %.2f us packing W^T per call, %.2f us on a "
+                "pre-transposed W\n",
+                pack.packedPerCallUs, pack.preTransposedUs);
 
     double log_sum = 0.0;
     double min_speedup = 1e300;
@@ -546,8 +824,28 @@ main(int argc, char **argv)
                      gmacs(r, r.referenceUs),
                      i + 1 < step_rows.size() ? "," : "");
     }
+    std::fprintf(f, "  ],\n  \"relu_epilogue\": [\n");
+    for (std::size_t i = 0; i < relu_rows.size(); ++i) {
+        const ReluRow &r = relu_rows[i];
+        std::fprintf(f,
+                     "    {\"shape\": \"%s\", \"m\": %zu, \"n\": %zu, "
+                     "\"k\": %zu, \"bias_us\": %.3f, \"relu_us\": %.3f, "
+                     "\"relu_eval_us\": %.3f}%s\n",
+                     r.shape.name, r.shape.m, r.shape.n, r.shape.k,
+                     r.biasUs, r.reluUs, r.reluEvalUs,
+                     i + 1 < relu_rows.size() ? "," : "");
+    }
     std::fprintf(f,
-                 "  ],\n  \"adam\": {\"params\": %zu, "
+                 "  ],\n  \"fast_train_step_split_us\": {\"step\": %.3f, "
+                 "\"eval_forward\": %.3f, \"train_forward\": %.3f, "
+                 "\"backward\": %.3f, \"adam\": %.3f, \"other\": %.3f},\n"
+                 "  \"fast_dx_gemms_us\": {\"pack_per_call\": %.3f, "
+                 "\"pre_transposed\": %.3f},\n",
+                 split.stepUs, split.evalForwardUs, split.trainForwardUs,
+                 split.backwardUs, split.adamUs, split.otherUs(),
+                 pack.packedPerCallUs, pack.preTransposedUs);
+    std::fprintf(f,
+                 "  \"adam\": {\"params\": %zu, "
                  "\"warm_steps\": 1000, \"zero_grad_pct\": %.1f, "
                  "\"subnormal_m_pct\": %.1f, \"kernel_ns_per_param\": "
                  "%.3f, \"reference_ns_per_param\": %.3f, "
@@ -555,6 +853,7 @@ main(int argc, char **argv)
                  "  \"adam_bitwise_equal\": %s,\n"
                  "  \"gemm_tail_bitwise_equal\": %s,\n"
                  "  \"gemm_strided_bitwise_equal\": %s,\n"
+                 "  \"relu_epilogue_bitwise_equal\": %s,\n"
                  "  \"train_step_us\": %.3f,\n"
                  "  \"fast_train_step_us\": %.3f,\n"
                  "  \"geomean_speedup\": %.3f,\n"
@@ -563,7 +862,8 @@ main(int argc, char **argv)
                  adam.kernelNs, adam.referenceNs, adam.speedup(),
                  adam.bitwiseEqual ? "true" : "false",
                  tail_equal ? "true" : "false",
-                 strided_equal ? "true" : "false", train_us, fast_train_us,
+                 strided_equal ? "true" : "false",
+                 relu_equal ? "true" : "false", train_us, fast_train_us,
                  geomean,
                  min_speedup);
     std::fclose(f);

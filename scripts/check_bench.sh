@@ -30,8 +30,11 @@
 # the warmed-state run -- gemm_tail_bitwise_equal is not true -- a
 # GEMM's n % 16 column tail summed differently from a full tile -- or
 # gemm_strided_bitwise_equal is not true -- an A^T product read through
-# strides differed from the product of a transposed copy. Skipped with
-# a notice when absent, like the cluster artifact.
+# strides differed from the product of a transposed copy -- or
+# relu_epilogue_bitwise_equal is not true -- the lane-coded bias+ReLU
+# epilogue or ReLU::backward differed from the scalar `v > 0 ? v : 0`
+# formula, or wrote a mask byte other than 0 or 1. Skipped with a
+# notice when absent, like the cluster artifact.
 #
 # These are hard invariants, so CI runs this after bench_smoke instead
 # of trusting the benches' own exit codes alone (the artifacts are also
@@ -228,7 +231,7 @@ with open(path) as f:
 
 failures = 0
 for key in ("adam_bitwise_equal", "gemm_tail_bitwise_equal",
-            "gemm_strided_bitwise_equal"):
+            "gemm_strided_bitwise_equal", "relu_epilogue_bitwise_equal"):
     if root.get(key) is not True:
         print(f"check_bench: FAIL kernels: {key} is {root.get(key)!r}",
               file=sys.stderr)
@@ -240,7 +243,9 @@ print(f"check_bench: kernels: adam {adam.get('kernel_ns_per_param')} "
       f"adam_bitwise_equal={root.get('adam_bitwise_equal')} "
       f"gemm_tail_bitwise_equal={root.get('gemm_tail_bitwise_equal')} "
       f"gemm_strided_bitwise_equal="
-      f"{root.get('gemm_strided_bitwise_equal')}")
+      f"{root.get('gemm_strided_bitwise_equal')} "
+      f"relu_epilogue_bitwise_equal="
+      f"{root.get('relu_epilogue_bitwise_equal')}")
 
 if failures:
     print(f"check_bench: {failures} invariant violation(s)", file=sys.stderr)

@@ -13,7 +13,8 @@
 # summary and carry `fault` lines, autoscale scenarios `scale` lines,
 # proving the schedule actually fired within the reduced step budget.
 # The --profile-max-share budget must exit 3 when blown and 0 when
-# --sim-profile runs alone. Finally, every kind of bad input (among
+# --sim-profile runs alone, and the --sim-profile phase table must
+# count the run's intervals only (set-up has its own row). Finally, every kind of bad input (among
 # them a checkpoint with one flipped byte) must be rejected with exit
 # status exactly 2 and a message (never a crash).
 set -u
@@ -113,6 +114,20 @@ expect_status 3 --scenario "$single" --steps "$steps" --sim-profile \
     --profile-max-share 10
 expect_status 0 --scenario "$single" --steps "$steps" --sim-profile
 echo "== --sim-profile budget exit status"
+
+# The phase table describes the run alone: the single server evaluates
+# interference once per interval, and the managers' set-up (their
+# Eq. 2 profiling campaigns) is reported on a row of its own.
+profile=$("$sim" --scenario scenarios/fig13.json --steps "$steps" \
+    --sim-profile 2>&1)
+calls=$(awk '$1 == "interference" { print $3 }' <<<"$profile")
+if [[ "$calls" != "$steps" ]] || ! grep -q '^  set-up ' <<<"$profile"; then
+    printf '%s\n' "$profile"
+    echo "scenario_smoke: FAIL --sim-profile run row counts '$calls'" \
+        "interference calls for $steps steps" >&2
+    failures=$((failures + 1))
+fi
+echo "== --sim-profile run row"
 
 # A corrupt checkpoint: a freshly trained donor with one byte flipped
 # mid-file, which the loader's checksum must catch.

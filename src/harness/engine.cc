@@ -16,6 +16,14 @@ namespace twig::harness {
 
 namespace {
 
+/** The simulator phase counters now when profiling is on, else zero. */
+SimProfile
+profileNow()
+{
+    return common::simprof::enabled() ? SimProfile::snapshot()
+                                      : SimProfile{};
+}
+
 /** Peak RPS of one service-load entry. @p capacity_factor scales
  * relative peaks on the cluster topology (1.0 on single nodes);
  * absolute max_rps overrides skip it. */
@@ -191,6 +199,9 @@ Engine::runSingle(const ScenarioSpec &spec,
         return server;
     };
 
+    EngineResult result;
+    result.profileAtRunStart = profileNow();
+
     // Event segments: each runs on its own server, metrics discarded.
     const std::vector<ServiceLoadSpec> *current = &spec.services;
     std::uint64_t server_seed = spec.seed;
@@ -227,7 +238,6 @@ Engine::runSingle(const ScenarioSpec &spec,
     run.summaryWindow = sched.summaryWindow;
     run.recordTrace = options_.recordTrace;
 
-    EngineResult result;
     result.managerName = manager->name();
     result.single = runner.run(run);
     return result;
@@ -385,6 +395,7 @@ Engine::runCluster(const ScenarioSpec &spec,
     cluster::ClusterManager &fleet = *setup.fleet;
 
     EngineResult result;
+    result.profileAtRunStart = profileNow();
     result.cluster = true;
     result.fleet = fleet.run(spec.steps, window);
 

@@ -22,6 +22,7 @@
 #include "harness/registry.hh"
 #include "harness/runner.hh"
 #include "harness/scenario.hh"
+#include "harness/sim_profile.hh"
 
 namespace twig::harness {
 
@@ -95,6 +96,11 @@ struct EngineResult
     RunResult single;
     /** Cluster topology: fleet metrics + always-on fleet trace. */
     cluster::FleetRunResult fleet;
+    /** With SimProfile enabled, its counters once the managers were
+     * built (with their Eq. 2 profiling campaigns), just before the
+     * first control interval: a snapshot after the run, less this, is
+     * the run alone. All zero while profiling is off. */
+    SimProfile profileAtRunStart;
 
     /** Topology-independent view of the headline numbers. */
     double meanPowerW() const;

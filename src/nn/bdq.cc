@@ -28,6 +28,40 @@ MultiAgentBdq::MultiAgentBdq(const BdqConfig &cfg, common::Rng &rng)
     }
 }
 
+/**
+ * Everything a train-mode forward leaves for backward(), and
+ * backward()'s own buffers, held once per thread instead of once per
+ * network: a learner's step runs its train forward and backward back
+ * to back on one thread, so networks on that thread take turns with
+ * one set. Grows to the largest network on the thread, then allocates
+ * no more.
+ */
+struct MultiAgentBdq::TrainWorkspace
+{
+    /** The network whose train-mode forward filled it last. */
+    const MultiAgentBdq *owner = nullptr;
+    std::size_t batch = 0;
+    Activations act;
+    /** ReLU masks: per trunk stage, all agents' stacked embeddings,
+     * per branch. */
+    std::vector<ReLU> trunkRelu, branchRelu;
+    ReLU embedRelu;
+    // Backward buffers.
+    Matrix dStacked; // d(stacked embeddings), accumulated
+    Matrix dAdv;     // dueling-combine gradient per branch
+    Matrix g1, g2;
+    Matrix dH;       // d(trunk output), accumulated over agents
+    Matrix dv;
+    Matrix tmp;      // trunk ping-pong buffer
+};
+
+MultiAgentBdq::TrainWorkspace &
+MultiAgentBdq::threadWorkspace()
+{
+    thread_local TrainWorkspace ws;
+    return ws;
+}
+
 void
 MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
 {
@@ -35,50 +69,64 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
                     "BDQ::forward: joint state width ", x.cols(),
                     " != expected ", cfg_.inputDim());
     const std::size_t batch = x.rows();
-    lastBatch_ = batch;
-    lastTrain_ = train;
-
-    // A train-mode pass keeps its activations for backward(), which
-    // reads them through the layers' input pointers. An evaluation pass
-    // (the target network's, a decision) writes them to per-thread
-    // scratch shared by every network on the thread, so a network that
-    // never trains never holds a set. The vectors only grow: networks
-    // of different shapes on one thread do not reallocate.
-    thread_local Activations eval_act;
-    Activations &act = train ? trainAct_ : eval_act;
-    const auto atLeast = [](std::vector<Matrix> &v, std::size_t n) {
+    const auto atLeast = [](auto &v, std::size_t n) {
         if (v.size() < n)
             v.resize(n);
     };
+
+    // A train pass writes its activations and ReLU masks to this
+    // thread's workspace for backward(). An evaluation pass (the
+    // target network's, a decision) writes its activations to a
+    // second per-thread set, and no masks. So a network holds no
+    // activations of its own.
+    thread_local Activations eval_act;
+    TrainWorkspace *ws = nullptr;
+    if (train) {
+        ws = &threadWorkspace();
+        ws->owner = this;
+        ws->batch = batch;
+        trainWs_ = ws;
+        atLeast(ws->trunkRelu, trunk_.size());
+        atLeast(ws->branchRelu, branches_.size());
+    }
+    Activations &act = train ? ws->act : eval_act;
     atLeast(act.trunk, trunk_.size());
     atLeast(act.trunkDrop, trunk_.size());
-    atLeast(act.embed, agents_.size());
     atLeast(act.value, agents_.size());
     atLeast(act.hidden, branches_.size());
     atLeast(act.hiddenDrop, branches_.size());
     atLeast(act.adv, branches_.size());
 
-    // Shared trunk (linear+ReLU fused per stage).
+    // Shared trunk (linear+ReLU fused per stage). Dropout only acts in
+    // a train pass.
     const Matrix *cur = &x;
     for (std::size_t s = 0; s < trunk_.size(); ++s) {
         auto &stage = trunk_[s];
-        stage.linear.forwardRelu(*cur, act.trunk[s], stage.relu, train);
-        cur = &stage.dropout.forward(act.trunk[s], act.trunkDrop[s], train,
-                                     rng_);
+        Matrix &y = act.trunk[s];
+        const std::size_t width = stage.linear.outFeatures();
+        y.resize(batch, width);
+        stage.linear.forwardRelu(
+            *cur, y,
+            train ? ws->trunkRelu[s].primeMask(batch, width) : nullptr);
+        cur = train ? &stage.dropout.forward(y, act.trunkDrop[s], true,
+                                             rng_)
+                    : &y;
     }
     const Matrix &h = *cur;
 
-    // Per-agent state heads.
+    // Per-agent state heads. Each embedding GEMM writes its agent's
+    // row block of the stacked matrix the branch modules read.
     const std::size_t hw = cfg_.agentHeadHidden;
     act.stacked.resize(cfg_.numAgents * batch, hw);
+    unsigned char *embed_mask =
+        train ? ws->embedRelu.primeMask(cfg_.numAgents * batch, hw)
+              : nullptr;
     for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
         auto &agent = agents_[k];
-        agent.embed.forwardRelu(h, act.embed[k], agent.relu, train);
-        agent.valueOut.forward(act.embed[k], act.value[k], train);
-        for (std::size_t i = 0; i < batch; ++i) {
-            std::copy_n(act.embed[k].rowPtr(i), hw,
-                        act.stacked.rowPtr(k * batch + i));
-        }
+        const MatrixView embed = act.stacked.rowBlock(k * batch, batch);
+        agent.embed.forwardRelu(
+            h, embed, train ? embed_mask + k * batch * hw : nullptr);
+        agent.valueOut.forward(embed, act.value[k], train);
     }
 
     // Per-branch advantage modules over the stacked embeddings.
@@ -93,11 +141,18 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
     }
     for (std::size_t d = 0; d < branches_.size(); ++d) {
         auto &br = branches_[d];
+        Matrix &hidden = act.hidden[d];
         Matrix &adv = act.adv[d];
-        br.hidden.forwardRelu(act.stacked, act.hidden[d], br.relu, train);
-        br.advOut.forward(br.dropout.forward(act.hidden[d],
-                                             act.hiddenDrop[d], train,
-                                             rng_),
+        const std::size_t rows = cfg_.numAgents * batch;
+        hidden.resize(rows, cfg_.branchHidden);
+        br.hidden.forwardRelu(
+            act.stacked, hidden,
+            train ? ws->branchRelu[d].primeMask(rows, cfg_.branchHidden)
+                  : nullptr);
+        br.advOut.forward(train ? br.dropout.forward(hidden,
+                                                     act.hiddenDrop[d],
+                                                     true, rng_)
+                                : hidden,
                           adv, train);
 
         const std::size_t n = cfg_.branchActions[d];
@@ -122,21 +177,27 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
 void
 MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
 {
-    common::panicIf(!lastTrain_,
+    TrainWorkspace &ws = threadWorkspace();
+    common::panicIf(trainWs_ == nullptr,
                     "BDQ::backward without a train-mode forward");
+    common::panicIf(trainWs_ != &ws || ws.owner != this,
+                    "BDQ::backward: its train-mode forward ran on "
+                    "another thread, or another network's has run on "
+                    "this thread since");
     common::fatalIf(dq.size() != cfg_.numAgents,
                     "BDQ::backward: wrong agent count");
-    const std::size_t batch = lastBatch_;
+    const std::size_t batch = ws.batch;
     const std::size_t hw = cfg_.agentHeadHidden;
     const float inv_k = 1.0f / static_cast<float>(cfg_.numAgents);
     const float inv_d = 1.0f / static_cast<float>(cfg_.numBranches());
 
-    // Gradient wrt the stacked embeddings, accumulated over branches.
-    Matrix &d_stacked = bwdStacked_;
+    // Gradient wrt the stacked embeddings: every branch's input
+    // gradient adds into it as its GEMM makes it.
+    Matrix &d_stacked = ws.dStacked;
     d_stacked.resize(cfg_.numAgents * batch, hw);
     d_stacked.zero();
-    Matrix &d_adv = bwdAdv_;
-    Matrix &g1 = bwdG1_, &g2 = bwdG2_, &g3 = bwdG3_;
+    Matrix &d_adv = ws.dAdv;
+    Matrix &g1 = ws.g1, &g2 = ws.g2;
     for (std::size_t d = 0; d < branches_.size(); ++d) {
         auto &br = branches_[d];
         const std::size_t n = cfg_.branchActions[d];
@@ -167,22 +228,16 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
         g1.scaleInPlace(inv_k);
         // The ReLU gradient overwrites g1 (in place when the dropout is
         // the identity).
-        br.relu.backward(br.dropout.backward(g1, g2), g1);
-        br.hidden.backward(g1, g3);
-        d_stacked.addInPlace(g3);
+        ws.branchRelu[d].backward(br.dropout.backward(g1, g2), g1);
+        br.hidden.backwardAccumulate(g1, d_stacked);
     }
 
-    // Per-agent heads: value path plus the agent's slice of d_stacked.
-    const std::size_t trunk_out = cfg_.trunkHidden.back();
-    Matrix &d_h = bwdDh_;
-    d_h.resize(batch, trunk_out);
-    d_h.zero();
-    Matrix &dv = bwdDv_, &gv = bwdGv_, &d_embed_act = bwdEmbedAct_,
-           &gh = bwdGh_;
+    // Per-agent heads: the value path's input gradient adds into the
+    // agent's rows of d_stacked, then one ReLU pass masks every
+    // agent's rows.
+    Matrix &dv = ws.dv;
     dv.resize(batch, 1);
-    d_embed_act.resize(batch, hw);
     for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
-        auto &agent = agents_[k];
         for (std::size_t i = 0; i < batch; ++i) {
             float s = 0.0f;
             for (std::size_t d = 0; d < cfg_.numBranches(); ++d) {
@@ -192,17 +247,17 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
             }
             dv(i, 0) = s;
         }
-        agent.valueOut.backward(dv, gv);
-        for (std::size_t i = 0; i < batch; ++i) {
-            const float *sl = d_stacked.rowPtr(k * batch + i);
-            const float *gvr = gv.rowPtr(i);
-            float *dst = d_embed_act.rowPtr(i);
-            for (std::size_t c = 0; c < hw; ++c)
-                dst[c] = gvr[c] + sl[c];
-        }
-        agent.relu.backward(d_embed_act, d_embed_act);
-        agent.embed.backward(d_embed_act, gh);
-        d_h.addInPlace(gh);
+        agents_[k].valueOut.backwardAccumulate(
+            dv, d_stacked.rowBlock(k * batch, batch));
+    }
+    ws.embedRelu.backward(d_stacked, d_stacked);
+    const std::size_t trunk_out = cfg_.trunkHidden.back();
+    Matrix &d_h = ws.dH;
+    d_h.resize(batch, trunk_out);
+    d_h.zero();
+    for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
+        agents_[k].embed.backwardAccumulate(
+            d_stacked.rowBlock(k * batch, batch), d_h);
     }
 
     // Paper: rescale the combined gradient for the shared representation
@@ -212,10 +267,11 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
     // Trunk backward (deepest stage last), ping-ponging two buffers;
     // the ReLU gradient lands in *grad (in place when the dropout is
     // the identity).
-    Matrix *grad = &d_h, *tmp = &bwdTmp_;
+    Matrix *grad = &d_h, *tmp = &ws.tmp;
     for (std::size_t s = trunk_.size(); s-- > 0;) {
         auto &stage = trunk_[s];
-        stage.relu.backward(stage.dropout.backward(*grad, *tmp), *grad);
+        ws.trunkRelu[s].backward(stage.dropout.backward(*grad, *tmp),
+                                 *grad);
         if (s == 0) {
             stage.linear.backwardNoInputGrad(*grad);
         } else {

@@ -92,7 +92,11 @@ class MultiAgentBdq
 
     /**
      * Backward pass from per-agent, per-branch Q-value gradients.
-     * Must follow a forward(..., train = true) on the same batch.
+     * Must follow a forward(..., train = true) on the same batch, on
+     * the same thread, with no other network's train-mode forward on
+     * that thread in between: the activations it reads live in a
+     * per-thread workspace that every network on the thread shares.
+     * Panics otherwise. Evaluation forwards in between are fine.
      * Accumulates parameter gradients (with the 1/K and 1/D rescaling).
      */
     void backward(const std::vector<std::vector<Matrix>> &dq);
@@ -152,7 +156,6 @@ class MultiAgentBdq
     struct TrunkStage
     {
         Linear linear;
-        ReLU relu;
         Dropout dropout;
         TrunkStage(std::size_t in, std::size_t out, float rate,
                    common::Rng &rng)
@@ -163,8 +166,7 @@ class MultiAgentBdq
 
     struct AgentHead
     {
-        Linear embed;    // trunk -> H
-        ReLU relu;
+        Linear embed;    // trunk -> H, then ReLU
         Linear valueOut; // H -> 1
         AgentHead(std::size_t trunk_out, std::size_t h, common::Rng &rng)
             : embed(trunk_out, h, rng), valueOut(h, 1, rng)
@@ -175,7 +177,6 @@ class MultiAgentBdq
     struct BranchModule
     {
         Linear hidden;  // H -> branchHidden (deepest advantage layer)
-        ReLU relu;
         Dropout dropout;
         Linear advOut;  // branchHidden -> n_d
         BranchModule(std::size_t h, std::size_t hidden_w, std::size_t n,
@@ -189,16 +190,22 @@ class MultiAgentBdq
     /**
      * The activations of one forward pass, per trunk stage, agent and
      * branch (linear+ReLU pairs are fused, so only post-ReLU values
-     * materialise). The *Drop matrices are written only while that
-     * dropout is active; otherwise it passes its input through.
+     * materialise). Each agent's embedding is its row block of
+     * stacked. The *Drop matrices are written only while that dropout
+     * is active; otherwise it passes its input through.
      */
     struct Activations
     {
         std::vector<Matrix> trunk, trunkDrop; // [B x trunk width]
         Matrix stacked;                       // [K*B x H] agent embeddings
-        std::vector<Matrix> embed, value;     // [B x H], [B x 1]
+        std::vector<Matrix> value;            // [B x 1]
         std::vector<Matrix> hidden, hiddenDrop, adv; // [K*B x ...]
     };
+
+    /** A train pass's activations, ReLU masks and backward buffers,
+     * one per thread (bdq.cc). */
+    struct TrainWorkspace;
+    static TrainWorkspace &threadWorkspace();
 
     void forEachLinear(const std::function<void(Linear &)> &fn);
     void forEachLinear(const std::function<void(const Linear &)> &fn) const;
@@ -209,21 +216,10 @@ class MultiAgentBdq
     std::vector<AgentHead> agents_;
     std::vector<BranchModule> branches_;
 
-    // The last train-mode forward's activations and batch shape, for
-    // backward().
-    Activations trainAct_;
-    std::size_t lastBatch_ = 0;
-    bool lastTrain_ = false;
+    /** The workspace this network's last train-mode forward filled
+     * (null before the first), which backward() reads. */
+    TrainWorkspace *trainWs_ = nullptr;
     std::size_t adamT_ = 0;
-
-    // Backward-pass scratch, sized on first use and reused so a
-    // steady-state training step performs no heap allocation.
-    Matrix bwdStacked_;  // d(stacked embeddings), accumulated
-    Matrix bwdAdv_;      // dueling-combine gradient per branch
-    Matrix bwdG1_, bwdG2_, bwdG3_;
-    Matrix bwdDh_;       // d(trunk output), accumulated over agents
-    Matrix bwdDv_, bwdGv_, bwdEmbedAct_, bwdGh_;
-    Matrix bwdTmp_;      // trunk ping-pong buffer
 };
 
 } // namespace twig::nn

@@ -1,8 +1,14 @@
 #include "nn/layers.hh"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace twig::nn {
 
@@ -21,6 +27,44 @@ readFloats(std::istream &is, float *data, std::size_t n)
     is.read(reinterpret_cast<char *>(data),
             static_cast<std::streamsize>(n * sizeof(float)));
     common::fatalIf(!is, "Linear::load: truncated stream");
+}
+
+/**
+ * dx = mask ? dy : +0 per element, bit for bit, as lane code: sixteen
+ * mask bytes at a time are compared with zero and widened to 4-byte
+ * lanes of all ones or all zeros, which clear the bits of dy where
+ * the mask is 0. (The ternary compiled to a branch per element.) @p dx
+ * may be @p dy.
+ */
+void
+maskGradient(std::size_t n, const unsigned char *mask, const float *dy,
+             float *dx)
+{
+    std::size_t i = 0;
+#if defined(__SSE2__)
+    for (; i + 16 <= n; i += 16) {
+        __m128i m;
+        std::memcpy(&m, mask + i, sizeof m);
+        const __m128i drop = _mm_cmpeq_epi8(m, _mm_setzero_si128());
+        const __m128i lo = _mm_unpacklo_epi8(drop, drop);
+        const __m128i hi = _mm_unpackhi_epi8(drop, drop);
+        const __m128i lanes[4] = {
+            _mm_unpacklo_epi16(lo, lo), _mm_unpackhi_epi16(lo, lo),
+            _mm_unpacklo_epi16(hi, hi), _mm_unpackhi_epi16(hi, hi)};
+        for (std::size_t q = 0; q < 4; ++q) {
+            __m128i g;
+            std::memcpy(&g, dy + i + 4 * q, sizeof g);
+            g = _mm_andnot_si128(lanes[q], g);
+            std::memcpy(dx + i + 4 * q, &g, sizeof g);
+        }
+    }
+#endif
+    for (; i < n; ++i) {
+        std::uint32_t bits;
+        std::memcpy(&bits, dy + i, sizeof bits);
+        bits &= 0u - static_cast<std::uint32_t>(mask[i] != 0);
+        std::memcpy(dx + i, &bits, sizeof bits);
+    }
 }
 
 } // namespace
@@ -50,31 +94,37 @@ Linear::reinitialize(common::Rng &rng)
 }
 
 void
-Linear::forward(const Matrix &x, Matrix &y, bool train)
+Linear::forward(ConstMatrixView x, Matrix &y, bool train)
 {
-    common::panicIf(x.cols() != weight_.rows(),
+    common::panicIf(x.cols != weight_.rows(),
                     "Linear::forward: input width mismatch");
     if (train)
-        input_ = &x;
+        input_ = x;
     matmulBias(x, weight_, bias_, y);
 }
 
 void
-Linear::forwardRelu(const Matrix &x, Matrix &y, ReLU &relu, bool train)
+Linear::forwardRelu(ConstMatrixView x, MatrixView y, unsigned char *mask)
 {
-    common::panicIf(x.cols() != weight_.rows(),
+    common::panicIf(x.cols != weight_.rows(),
                     "Linear::forwardRelu: input width mismatch");
-    if (train)
-        input_ = &x;
-    matmulBiasRelu(x, weight_, bias_, y,
-                   relu.primeMask(x.rows(), weight_.cols()));
+    if (mask != nullptr)
+        input_ = x;
+    matmulBiasRelu(x, weight_, bias_, y, mask);
 }
 
 void
-Linear::backward(const Matrix &dy, Matrix &dx)
+Linear::backward(ConstMatrixView dy, Matrix &dx)
 {
     backwardNoInputGrad(dy);
     matmulTransposeB(dy, weight_, dx);
+}
+
+void
+Linear::backwardAccumulate(ConstMatrixView dy, MatrixView dx)
+{
+    backwardNoInputGrad(dy);
+    matmulTransposeBAccum(dy, weight_, dx);
 }
 
 void
@@ -92,21 +142,21 @@ Linear::allocateTrainingState()
 }
 
 void
-Linear::backwardNoInputGrad(const Matrix &dy)
+Linear::backwardNoInputGrad(ConstMatrixView dy)
 {
     allocateTrainingState();
-    common::panicIf(input_ == nullptr,
+    common::panicIf(input_.data == nullptr,
                     "Linear::backward without a train-mode forward");
-    common::panicIf(dy.rows() != input_->rows(),
+    common::panicIf(dy.rows != input_.rows,
                     "Linear::backward: batch mismatch");
-    common::panicIf(dy.cols() != weight_.cols(),
+    common::panicIf(dy.cols != weight_.cols(),
                     "Linear::backward: output width mismatch");
     // gradW += x^T dy, fused into the kernel: no scratch matrix, no
     // second pass over the gradient.
-    matmulTransposeAAccum(*input_, dy, gradWeight_);
-    for (std::size_t r = 0; r < dy.rows(); ++r) {
+    matmulTransposeAAccum(input_, dy, gradWeight_);
+    for (std::size_t r = 0; r < dy.rows; ++r) {
         const float *row = dy.rowPtr(r);
-        for (std::size_t c = 0; c < dy.cols(); ++c)
+        for (std::size_t c = 0; c < dy.cols; ++c)
             gradBias_[c] += row[c];
     }
 }
@@ -176,7 +226,7 @@ Linear::load(std::istream &is)
 void
 ReLU::forward(const Matrix &x, Matrix &y)
 {
-    unsigned char *mask = primeMask(x.rows(), x.cols()).data();
+    unsigned char *mask = primeMask(x.rows(), x.cols());
     y.resize(x.rows(), x.cols());
     for (std::size_t i = 0; i < x.size(); ++i) {
         const float v = x.raw()[i];
@@ -192,8 +242,7 @@ ReLU::backward(const Matrix &dy, Matrix &dx) const
     common::panicIf(dy.rows() != rows_ || dy.cols() != cols_,
                     "ReLU::backward: shape mismatch with forward");
     dx.resize(rows_, cols_);
-    for (std::size_t i = 0; i < dy.size(); ++i)
-        dx.raw()[i] = mask_[i] ? dy.raw()[i] : 0.0f;
+    maskGradient(dy.size(), mask_.data(), dy.data(), dx.data());
 }
 
 const Matrix &

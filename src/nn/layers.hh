@@ -42,17 +42,19 @@ class Linear
     /** Forward pass (fused GEMM+bias). With @p train it remembers
      * where @p x is for backward(), which reads it: @p x must stay
      * alive and unchanged until then. It is not copied. */
-    void forward(const Matrix &x, Matrix &y, bool train = true);
+    void forward(ConstMatrixView x, Matrix &y, bool train = true);
 
     /**
      * Fused forward through this layer and a ReLU: y = relu(x W + b)
      * in one kernel pass, without materialising the pre-activation.
-     * @p relu receives the activation mask exactly as if
-     * forward() + relu.forward() had run, so its backward() works
-     * unchanged; @p train is as for forward().
+     * @p y must already be [x.rows x outFeatures()]: a Matrix or a
+     * block of rows of one. With @p mask (a train pass) it remembers
+     * @p x as forward() does and writes mask[i] = 1 where y[i] > 0,
+     * else 0 -- the mask a ReLU's backward() reads, so pass
+     * ReLU::primeMask(). With a null mask (an evaluation pass) it
+     * writes no mask and remembers nothing.
      */
-    void forwardRelu(const Matrix &x, Matrix &y, ReLU &relu,
-                     bool train = true);
+    void forwardRelu(ConstMatrixView x, MatrixView y, unsigned char *mask);
 
     /**
      * Backward pass: accumulates weight/bias gradients from @p dy and
@@ -63,10 +65,15 @@ class Linear
      * adamStep() or zeroGrad() — this is what lets the BDQ share one
      * advantage module across several agents.
      */
-    void backward(const Matrix &dy, Matrix &dx);
+    void backward(ConstMatrixView dy, Matrix &dx);
+
+    /** As backward(), but adds the input gradient into @p dx, which
+     * must already be [dy.rows x inFeatures()]: for an input that
+     * feeds several layers, whose gradients sum. */
+    void backwardAccumulate(ConstMatrixView dy, MatrixView dx);
 
     /** As backward(), but discards dx (first layer of a network). */
-    void backwardNoInputGrad(const Matrix &dy);
+    void backwardNoInputGrad(ConstMatrixView dy);
 
     /** Scale the accumulated gradients (for 1/K and 1/D rescaling). */
     void scaleGrad(float factor);
@@ -114,8 +121,9 @@ class Linear
     std::vector<float> bias_;
     Matrix gradWeight_;
     std::vector<float> gradBias_;
-    /** The last train-mode forward's input (not owned). */
-    const Matrix *input_ = nullptr;
+    /** The last train-mode forward's input (not owned); data is null
+     * before the first. */
+    ConstMatrixView input_;
 
     // Adam moments.
     Matrix mWeight_, vWeight_;
@@ -127,8 +135,8 @@ class ReLU
 {
   public:
     void forward(const Matrix &x, Matrix &y);
-    /** dx = dy where the forward input was positive, else 0; @p dx
-     * may be @p dy. */
+    /** dx = dy where the forward input was positive, else +0, bit for
+     * bit; @p dx may be @p dy. */
     void backward(const Matrix &dy, Matrix &dx) const;
 
     /**
@@ -136,14 +144,14 @@ class ReLU
      * for a [rows x cols] activation and hand it to the kernel to
      * fill. backward() then behaves as after a normal forward().
      */
-    std::vector<unsigned char> &
+    unsigned char *
     primeMask(std::size_t rows, std::size_t cols)
     {
         rows_ = rows;
         cols_ = cols;
         if (mask_.size() != rows * cols)
             mask_.resize(rows * cols);
-        return mask_;
+        return mask_.data();
     }
 
   private:

@@ -12,8 +12,9 @@
  * (row stride, column stride) pair, so the A^T products (the dW = x^T
  * dy gradient) run on the untransposed matrix without a packed copy;
  * matmulTransposeB still packs B^T. The fused epilogues (bias,
- * bias+ReLU, accumulate) are applied at tile-store time so a Linear
- * layer's forward pass is a single memory pass.
+ * bias+ReLU with or without its mask, accumulate) are applied at
+ * tile-store time so a Linear layer's forward pass is a single memory
+ * pass; the ReLU one is written as lane code (reluLanes).
  *
  * Tiling parameters (see DESIGN.md "Performance architecture"):
  *  - MR=6 rows of A per tile: each loaded B row is reused six times
@@ -41,7 +42,13 @@
 #include "nn/matrix.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/kernel_clones.hh"
 
@@ -52,50 +59,20 @@ namespace {
 constexpr std::size_t MR = 6;  ///< register-tile rows
 constexpr std::size_t NR = 16; ///< register-tile columns
 
-/** Epilogue applied when a C tile row leaves the accumulators. */
+/** What happens to a C tile row as it leaves the accumulators. */
 struct Epilogue
 {
-    bool accumulate = false;          ///< C += acc instead of C = acc
-    const float *bias = nullptr;      ///< add bias[j] per column
-    unsigned char *reluMask = nullptr; ///< clamp at 0, record mask
+    enum Kind
+    {
+        Store,      ///< C = acc
+        Accumulate, ///< C += acc
+        Bias,       ///< C = acc + bias[j]
+        BiasRelu,   ///< C = relu(acc + bias[j]), mask recorded if set
+    };
+    Kind kind = Store;
+    const float *bias = nullptr;
+    unsigned char *reluMask = nullptr; ///< shaped like C, or null
 };
-
-/**
- * Store one accumulator row into C, applying the epilogue. Kept
- * always_inline so it is compiled inside each ISA version of the kernel
- * rather than as a separate default-ISA function; the hot path calls
- * it with the literal NR so every store loop has a constant trip
- * count (a runtime bound here demotes the whole tile to narrow
- * vectors — measured 10x slower).
- */
-__attribute__((always_inline)) inline void
-storeRow(float *__restrict crow, const float *__restrict acc,
-         std::size_t j0, std::size_t nr, std::size_t row_index,
-         std::size_t ldc, const Epilogue &ep)
-{
-    if (ep.accumulate) {
-        for (std::size_t q = 0; q < nr; ++q)
-            crow[q] += acc[q];
-        return;
-    }
-    if (ep.reluMask != nullptr) {
-        unsigned char *mrow = ep.reluMask + row_index * ldc + j0;
-        for (std::size_t q = 0; q < nr; ++q) {
-            const float v = acc[q] + ep.bias[j0 + q];
-            const bool pos = v > 0.0f;
-            mrow[q] = pos ? 1 : 0;
-            crow[q] = pos ? v : 0.0f;
-        }
-        return;
-    }
-    if (ep.bias != nullptr) {
-        for (std::size_t q = 0; q < nr; ++q)
-            crow[q] = acc[q] + ep.bias[j0 + q];
-        return;
-    }
-    for (std::size_t q = 0; q < nr; ++q)
-        crow[q] = acc[q];
-}
 
 /**
  * Copy columns [j0, j0 + nr) of B (nr < NR) into a per-thread
@@ -138,6 +115,153 @@ struct Halves
 
 static_assert(sizeof(Lanes16) == NR * sizeof(float) &&
               sizeof(Halves) == NR * sizeof(float));
+
+/** Compare results and mask bytes of the ReLU epilogue. Four-lane
+ * vectors are native at every x86-64 level; wider generic vectors
+ * without registers that wide compile to per-element code. */
+typedef float Lanes4 __attribute__((vector_size(4 * sizeof(float))));
+typedef std::int32_t Ints4 __attribute__((vector_size(4 * sizeof(float))));
+typedef std::int32_t Ints16 __attribute__((vector_size(NR * sizeof(float))));
+typedef unsigned char Bytes16 __attribute__((vector_size(NR)));
+
+/** relu(acc + bias) for four lanes into @p out; returns the compare
+ * (all ones where acc + bias > 0, else 0). */
+__attribute__((always_inline)) inline Ints4
+reluQuarter(const float *__restrict acc, const float *__restrict bias,
+            float *__restrict out)
+{
+    Lanes4 v, b;
+    std::memcpy(&v, acc, sizeof v);
+    std::memcpy(&b, bias, sizeof b);
+    v += b;
+    const Ints4 pos = v > Lanes4{};
+    Ints4 bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    bits &= pos;
+    std::memcpy(out, &bits, sizeof bits);
+    return pos;
+}
+
+/**
+ * The bias+ReLU epilogue of one NR-column tile row: out = relu(acc +
+ * bias) and, when @p mask is set, mask = 1 where acc + bias > 0, else
+ * 0. Bit for bit `v > 0 ? v : 0.0f` per lane: the compare is all ones
+ * exactly where v > 0 (never for -0 or NaN), the AND keeps those
+ * lanes and makes the others +0, and the mask bytes are the compare
+ * narrowed to 1 or 0. Written as lane code because the scalar form
+ * compiled to a compare and a set per element, even in the AVX-512
+ * kernel. That kernel's tile row is one 16-lane register and one
+ * narrowing store; the others run four 4-lane quarters and narrow
+ * the compares with two saturating packs.
+ */
+template <class Row>
+__attribute__((always_inline)) inline void
+reluLanes(const float *__restrict acc, const float *__restrict bias,
+          float *__restrict out, unsigned char *__restrict mask)
+{
+    if constexpr (std::is_same_v<Row, Lanes16>) {
+        Lanes16 v, b;
+        std::memcpy(&v, acc, sizeof v);
+        std::memcpy(&b, bias, sizeof b);
+        v += b;
+        const Ints16 pos = v > Lanes16{};
+        Ints16 bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        bits &= pos;
+        std::memcpy(out, &bits, sizeof bits);
+        if (mask != nullptr) {
+            const Bytes16 m = __builtin_convertvector(pos & 1, Bytes16);
+            std::memcpy(mask, &m, sizeof m);
+        }
+    } else {
+        const Ints4 p0 = reluQuarter(acc, bias, out);
+        const Ints4 p1 = reluQuarter(acc + 4, bias + 4, out + 4);
+        const Ints4 p2 = reluQuarter(acc + 8, bias + 8, out + 8);
+        const Ints4 p3 = reluQuarter(acc + 12, bias + 12, out + 12);
+        if (mask == nullptr)
+            return;
+#if defined(__SSE2__)
+        const __m128i all = _mm_packs_epi16(
+            _mm_packs_epi32(__m128i(p0), __m128i(p1)),
+            _mm_packs_epi32(__m128i(p2), __m128i(p3)));
+        const __m128i m = _mm_and_si128(all, _mm_set1_epi8(1));
+        std::memcpy(mask, &m, sizeof m);
+#else
+        const Ints4 quarters[4] = {p0, p1, p2, p3};
+        for (std::size_t h = 0; h < 4; ++h)
+            for (std::size_t l = 0; l < 4; ++l)
+                mask[4 * h + l] =
+                    static_cast<unsigned char>(quarters[h][l] & 1);
+#endif
+    }
+}
+
+/**
+ * Store one full NR-column accumulator row into C through the
+ * epilogue. Kept always_inline so it is compiled inside each ISA
+ * version of the kernel rather than as a separate default-ISA
+ * function; every loop has the constant trip count NR (a runtime
+ * bound here demotes the whole tile to narrow vectors — measured 10x
+ * slower).
+ */
+template <class Row>
+__attribute__((always_inline)) inline void
+storeRow(float *__restrict crow, const float *__restrict acc,
+         std::size_t j0, unsigned char *mrow, const Epilogue &ep)
+{
+    switch (ep.kind) {
+    case Epilogue::Accumulate:
+        for (std::size_t q = 0; q < NR; ++q)
+            crow[q] += acc[q];
+        return;
+    case Epilogue::Bias:
+        for (std::size_t q = 0; q < NR; ++q)
+            crow[q] = acc[q] + ep.bias[j0 + q];
+        return;
+    case Epilogue::BiasRelu:
+        reluLanes<Row>(acc, ep.bias + j0, crow, mrow);
+        return;
+    case Epilogue::Store:
+        for (std::size_t q = 0; q < NR; ++q)
+            crow[q] = acc[q];
+        return;
+    }
+}
+
+/** As storeRow, for the nr < NR real columns of a column-tail tile.
+ * The ReLU runs its full-width lanes on a bias padded with zeros and
+ * keeps the first nr results. */
+template <class Row>
+__attribute__((always_inline)) inline void
+storeTail(float *__restrict crow, const float *__restrict acc,
+          std::size_t j0, std::size_t nr, unsigned char *mrow,
+          const Epilogue &ep)
+{
+    switch (ep.kind) {
+    case Epilogue::Accumulate:
+        for (std::size_t q = 0; q < nr; ++q)
+            crow[q] += acc[q];
+        return;
+    case Epilogue::Bias:
+        for (std::size_t q = 0; q < nr; ++q)
+            crow[q] = acc[q] + ep.bias[j0 + q];
+        return;
+    case Epilogue::BiasRelu: {
+        float bias[NR] = {}, out[NR];
+        unsigned char mask[NR];
+        std::memcpy(bias, ep.bias + j0, nr * sizeof(float));
+        reluLanes<Row>(acc, bias, out, mask);
+        std::memcpy(crow, out, nr * sizeof(float));
+        if (mrow != nullptr)
+            std::memcpy(mrow, mask, nr);
+        return;
+    }
+    case Epilogue::Store:
+        for (std::size_t q = 0; q < nr; ++q)
+            crow[q] = acc[q];
+        return;
+    }
+}
 
 /** Unaligned load of NR floats into @p v, half by half for Halves (a
  * whole-struct copy goes through the stack). */
@@ -226,18 +350,23 @@ tileStrip(std::size_t i, std::size_t n, std::size_t k,
 {
     const float *ap = a + i * rs;
     const std::size_t nFull = n - n % NR;
+    // The mask, when there is one, has C's shape.
+    const auto maskAt = [&](std::size_t row, std::size_t j) {
+        return ep.reluMask != nullptr ? ep.reluMask + row * ldc + j
+                                      : nullptr;
+    };
     float out[MR][NR];
     for (std::size_t j = 0; j < nFull; j += NR) {
         tileRows<Row, R>(ap, rs, cs, b + j, ldb, k, out);
         for (std::size_t r = 0; r < R; ++r)
-            storeRow(c + (i + r) * ldc + j, out[r], j, NR, i + r, ldc,
-                     ep);
+            storeRow<Row>(c + (i + r) * ldc + j, out[r], j,
+                          maskAt(i + r, j), ep);
     }
     if (nFull != n) {
         tileRows<Row, R>(ap, rs, cs, tail, NR, k, out);
         for (std::size_t r = 0; r < R; ++r)
-            storeRow(c + (i + r) * ldc + nFull, out[r], nFull,
-                     n - nFull, i + r, ldc, ep);
+            storeTail<Row>(c + (i + r) * ldc + nFull, out[r], nFull,
+                           n - nFull, maskAt(i + r, nFull), ep);
     }
 }
 
@@ -329,10 +458,10 @@ gemmKernel(std::size_t m, std::size_t n, std::size_t k, const float *a,
  * thread pool because each worker owns its own panel.
  */
 const float *
-packTranspose(const Matrix &src)
+packTranspose(ConstMatrixView src)
 {
     thread_local std::vector<float> panel;
-    const std::size_t rows = src.rows(), cols = src.cols();
+    const std::size_t rows = src.rows, cols = src.cols;
     if (panel.size() < rows * cols)
         panel.resize(rows * cols);
     float *dst = panel.data();
@@ -347,78 +476,104 @@ packTranspose(const Matrix &src)
 } // namespace
 
 void
-matmul(const Matrix &a, const Matrix &b, Matrix &out)
+matmul(ConstMatrixView a, ConstMatrixView b, Matrix &out)
 {
-    common::panicIf(a.cols() != b.rows(), "matmul: inner dims differ");
-    out.resize(a.rows(), b.cols());
-    gemmKernel(a.rows(), b.cols(), a.cols(), a.data(), a.cols(), 1,
-               b.data(), b.cols(), out.data(), out.cols(), Epilogue{});
+    common::panicIf(a.cols != b.rows, "matmul: inner dims differ");
+    out.resize(a.rows, b.cols);
+    gemmKernel(a.rows, b.cols, a.cols, a.data, a.cols, 1, b.data, b.cols,
+               out.data(), out.cols(), Epilogue{});
 }
 
 void
-matmulTransposeB(const Matrix &a, const Matrix &b, Matrix &out)
+matmulTransposeB(ConstMatrixView a, ConstMatrixView b, Matrix &out)
 {
-    common::panicIf(a.cols() != b.cols(), "matmulTransposeB: dims differ");
-    out.resize(a.rows(), b.rows());
+    common::panicIf(a.cols != b.cols, "matmulTransposeB: dims differ");
+    out.resize(a.rows, b.rows);
     const float *bt = packTranspose(b); // [k x n]
-    gemmKernel(a.rows(), b.rows(), a.cols(), a.data(), a.cols(), 1, bt,
-               b.rows(), out.data(), out.cols(), Epilogue{});
+    gemmKernel(a.rows, b.rows, a.cols, a.data, a.cols, 1, bt, b.rows,
+               out.data(), out.cols(), Epilogue{});
 }
 
 void
-matmulTransposeA(const Matrix &a, const Matrix &b, Matrix &out)
+matmulTransposeBAccum(ConstMatrixView a, ConstMatrixView b, MatrixView out)
 {
-    common::panicIf(a.rows() != b.rows(), "matmulTransposeA: dims differ");
-    out.resize(a.cols(), b.cols());
-    // A^T(i, p) = a(p, i): row stride 1, column stride a.cols().
-    gemmKernel(a.cols(), b.cols(), a.rows(), a.data(), 1, a.cols(),
-               b.data(), b.cols(), out.data(), out.cols(), Epilogue{});
+    common::panicIf(a.cols != b.cols,
+                    "matmulTransposeBAccum: dims differ");
+    common::panicIf(out.rows != a.rows || out.cols != b.rows,
+                    "matmulTransposeBAccum: out must be [m x n]");
+    const float *bt = packTranspose(b); // [k x n]
+    Epilogue ep;
+    ep.kind = Epilogue::Accumulate;
+    gemmKernel(a.rows, b.rows, a.cols, a.data, a.cols, 1, bt, b.rows,
+               out.data, out.cols, ep);
 }
 
 void
-matmulTransposeAAccum(const Matrix &a, const Matrix &b, Matrix &out)
+matmulTransposeA(ConstMatrixView a, ConstMatrixView b, Matrix &out)
 {
-    common::panicIf(a.rows() != b.rows(),
+    common::panicIf(a.rows != b.rows, "matmulTransposeA: dims differ");
+    out.resize(a.cols, b.cols);
+    // A^T(i, p) = a(p, i): row stride 1, column stride a.cols.
+    gemmKernel(a.cols, b.cols, a.rows, a.data, 1, a.cols, b.data, b.cols,
+               out.data(), out.cols(), Epilogue{});
+}
+
+void
+matmulTransposeAAccum(ConstMatrixView a, ConstMatrixView b, MatrixView out)
+{
+    common::panicIf(a.rows != b.rows,
                     "matmulTransposeAAccum: dims differ");
-    common::panicIf(out.rows() != a.cols() || out.cols() != b.cols(),
+    common::panicIf(out.rows != a.cols || out.cols != b.cols,
                     "matmulTransposeAAccum: out must be [k x n]");
     Epilogue ep;
-    ep.accumulate = true;
-    gemmKernel(a.cols(), b.cols(), a.rows(), a.data(), 1, a.cols(),
-               b.data(), b.cols(), out.data(), out.cols(), ep);
+    ep.kind = Epilogue::Accumulate;
+    gemmKernel(a.cols, b.cols, a.rows, a.data, 1, a.cols, b.data, b.cols,
+               out.data, out.cols, ep);
 }
 
 void
-matmulBias(const Matrix &a, const Matrix &w,
+matmulBias(ConstMatrixView a, ConstMatrixView w,
            const std::vector<float> &bias, Matrix &out)
 {
-    common::panicIf(a.cols() != w.rows(), "matmulBias: inner dims differ");
-    common::panicIf(bias.size() != w.cols(),
+    common::panicIf(a.cols != w.rows, "matmulBias: inner dims differ");
+    common::panicIf(bias.size() != w.cols,
                     "matmulBias: bias width mismatch");
-    out.resize(a.rows(), w.cols());
+    out.resize(a.rows, w.cols);
     Epilogue ep;
+    ep.kind = Epilogue::Bias;
     ep.bias = bias.data();
-    gemmKernel(a.rows(), w.cols(), a.cols(), a.data(), a.cols(), 1,
-               w.data(), w.cols(), out.data(), out.cols(), ep);
+    gemmKernel(a.rows, w.cols, a.cols, a.data, a.cols, 1, w.data, w.cols,
+               out.data(), out.cols(), ep);
 }
 
 void
-matmulBiasRelu(const Matrix &a, const Matrix &w,
+matmulBiasRelu(ConstMatrixView a, ConstMatrixView w,
                const std::vector<float> &bias, Matrix &out,
                std::vector<unsigned char> &mask)
 {
-    common::panicIf(a.cols() != w.rows(),
-                    "matmulBiasRelu: inner dims differ");
-    common::panicIf(bias.size() != w.cols(),
-                    "matmulBiasRelu: bias width mismatch");
-    out.resize(a.rows(), w.cols());
+    out.resize(a.rows, w.cols);
     if (mask.size() != out.size())
         mask.resize(out.size());
+    matmulBiasRelu(a, w, bias, MatrixView(out), mask.data());
+}
+
+void
+matmulBiasRelu(ConstMatrixView a, ConstMatrixView w,
+               const std::vector<float> &bias, MatrixView out,
+               unsigned char *mask)
+{
+    common::panicIf(a.cols != w.rows,
+                    "matmulBiasRelu: inner dims differ");
+    common::panicIf(bias.size() != w.cols,
+                    "matmulBiasRelu: bias width mismatch");
+    common::panicIf(out.rows != a.rows || out.cols != w.cols,
+                    "matmulBiasRelu: out must be [m x n]");
     Epilogue ep;
+    ep.kind = Epilogue::BiasRelu;
     ep.bias = bias.data();
-    ep.reluMask = mask.data();
-    gemmKernel(a.rows(), w.cols(), a.cols(), a.data(), a.cols(), 1,
-               w.data(), w.cols(), out.data(), out.cols(), ep);
+    ep.reluMask = mask;
+    gemmKernel(a.rows, w.cols, a.cols, a.data, a.cols, 1, w.data, w.cols,
+               out.data, out.cols, ep);
 }
 
 void

@@ -8,8 +8,11 @@
  * cache-tiled inner kernel (see matrix.cc); the transpose variants
  * pack the transposed operand into a per-thread scratch buffer so the
  * same canonical kernel serves all data layouts. Fused epilogues
- * (bias add, bias+ReLU) exist so a Linear layer's forward pass is a
- * single kernel call with no intermediate matrix.
+ * (bias add, bias+ReLU, accumulate) exist so a Linear layer's forward
+ * pass is a single kernel call with no intermediate matrix, and an
+ * input gradient can be summed into its destination as it is made.
+ * Operands are read, and block outputs written, through views, so a
+ * layer can work on a block of rows of a larger matrix in place.
  */
 
 #ifndef TWIG_NN_MATRIX_HH
@@ -21,6 +24,29 @@
 #include "common/error.hh"
 
 namespace twig::nn {
+
+/**
+ * Non-owning view of a row-major [rows x cols] matrix whose rows are
+ * contiguous: a whole Matrix (which converts to one implicitly) or a
+ * block of consecutive rows of one (Matrix::rowBlock).
+ */
+struct ConstMatrixView
+{
+    const float *data = nullptr;
+    std::size_t rows = 0, cols = 0;
+
+    const float *rowPtr(std::size_t r) const { return data + r * cols; }
+};
+
+/** Writable counterpart of ConstMatrixView. */
+struct MatrixView
+{
+    float *data = nullptr;
+    std::size_t rows = 0, cols = 0;
+
+    float *rowPtr(std::size_t r) const { return data + r * cols; }
+    operator ConstMatrixView() const { return {data, rows, cols}; }
+};
 
 /**
  * Row-major dense matrix. A batch of vectors is stored as one row per
@@ -109,6 +135,23 @@ class Matrix
     const std::vector<float> &raw() const { return data_; }
     std::vector<float> &raw() { return data_; }
 
+    operator ConstMatrixView() const { return {data(), rows_, cols_}; }
+    operator MatrixView() { return {data(), rows_, cols_}; }
+
+    /** Rows [row0, row0 + n) as a view. */
+    MatrixView
+    rowBlock(std::size_t row0, std::size_t n)
+    {
+        common::panicIf(row0 + n > rows_, "Matrix::rowBlock out of range");
+        return {rowPtr(row0), n, cols_};
+    }
+    ConstMatrixView
+    rowBlock(std::size_t row0, std::size_t n) const
+    {
+        common::panicIf(row0 + n > rows_, "Matrix::rowBlock out of range");
+        return {rowPtr(row0), n, cols_};
+    }
+
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
@@ -116,13 +159,22 @@ class Matrix
 };
 
 /** out = a * b ([m x k] * [k x n] -> [m x n]); out is resized. */
-void matmul(const Matrix &a, const Matrix &b, Matrix &out);
+void matmul(ConstMatrixView a, ConstMatrixView b, Matrix &out);
 
 /** out = a * b^T ([m x k] * [n x k]^T -> [m x n]); out is resized. */
-void matmulTransposeB(const Matrix &a, const Matrix &b, Matrix &out);
+void matmulTransposeB(ConstMatrixView a, ConstMatrixView b, Matrix &out);
+
+/**
+ * out += a * b^T, accumulating into @p out, which must already be
+ * [m x n]: the input-gradient primitive for a destination that sums
+ * several layers' input gradients (dx += dy W^T). Each element adds
+ * the same product sum matmulTransposeB computes, once.
+ */
+void matmulTransposeBAccum(ConstMatrixView a, ConstMatrixView b,
+                           MatrixView out);
 
 /** out = a^T * b ([m x k]^T * [m x n] -> [k x n]); out is resized. */
-void matmulTransposeA(const Matrix &a, const Matrix &b, Matrix &out);
+void matmulTransposeA(ConstMatrixView a, ConstMatrixView b, Matrix &out);
 
 /**
  * out += a^T * b, accumulating into @p out which must already have
@@ -130,23 +182,35 @@ void matmulTransposeA(const Matrix &a, const Matrix &b, Matrix &out);
  * (gradW += x^T dy) — fusing the add avoids a scratch matrix and a
  * second pass over the gradient.
  */
-void matmulTransposeAAccum(const Matrix &a, const Matrix &b, Matrix &out);
+void matmulTransposeAAccum(ConstMatrixView a, ConstMatrixView b,
+                           MatrixView out);
 
 /**
  * Fused linear forward: out = a * w + bias (bias broadcast over rows);
  * bias.size() must equal w.cols(). One kernel pass, no intermediate.
  */
-void matmulBias(const Matrix &a, const Matrix &w,
+void matmulBias(ConstMatrixView a, ConstMatrixView w,
                 const std::vector<float> &bias, Matrix &out);
 
 /**
  * Fused linear + ReLU forward: out = relu(a * w + bias). @p mask is
  * resized to out.size() and mask[i] is set to 1 where the
- * pre-activation was positive (the backward pass needs exactly this).
+ * pre-activation was positive, 0 elsewhere (the backward pass needs
+ * exactly this).
  */
-void matmulBiasRelu(const Matrix &a, const Matrix &w,
+void matmulBiasRelu(ConstMatrixView a, ConstMatrixView w,
                     const std::vector<float> &bias, Matrix &out,
                     std::vector<unsigned char> &mask);
+
+/**
+ * As above, into @p out, which must already be [a.rows x w.cols] (a
+ * Matrix or a row block of one), with the mask written to
+ * @p mask[0 .. out.rows * out.cols) — or not at all when @p mask is
+ * null, for an evaluation pass that has no backward.
+ */
+void matmulBiasRelu(ConstMatrixView a, ConstMatrixView w,
+                    const std::vector<float> &bias, MatrixView out,
+                    unsigned char *mask);
 
 /**
  * out = a * b for a with many *exact* zeros (e.g. one-hot state

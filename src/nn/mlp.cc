@@ -28,7 +28,11 @@ Mlp::forwardImpl(const Matrix &x, Matrix &y, bool train)
     std::size_t slot = 0;
     for (std::size_t i = 0; i < cfg_.hidden.size(); ++i) {
         Matrix &relu_out = acts_[slot++];
-        linears_[i].forwardRelu(*cur, relu_out, relus_[i], train);
+        const std::size_t width = linears_[i].outFeatures();
+        relu_out.resize(cur->rows(), width);
+        linears_[i].forwardRelu(
+            *cur, relu_out,
+            train ? relus_[i].primeMask(cur->rows(), width) : nullptr);
         cur = &dropouts_[i].forward(relu_out, acts_[slot++], train, rng_);
     }
     linears_.back().forward(*cur, y, train);

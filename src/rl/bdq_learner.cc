@@ -6,6 +6,26 @@
 
 namespace twig::rl {
 
+namespace {
+
+/**
+ * trainStep() scratch, one per thread rather than one per learner:
+ * it lives only for the length of a step, and every learner stepping
+ * on the thread reuses it. Sized on the first gradient step, then
+ * reused, so the steady-state training step performs zero heap
+ * allocations (verified by tests/test_alloc.cc).
+ */
+struct StepScratch
+{
+    ReplaySample sample;
+    nn::Matrix states, nextStates;
+    nn::BdqOutput nextOnline, nextTarget;
+    std::vector<std::vector<double>> targets;
+    std::vector<double> tdPriority;
+};
+
+} // namespace
+
 BdqLearner::BdqLearner(const BdqLearnerConfig &cfg, common::Rng &rng)
     : cfg_(cfg), rng_(rng.fork()), online_(cfg.net, rng_),
       target_(cfg.net, rng_), replay_(cfg.replay),
@@ -108,17 +128,18 @@ BdqLearner::observe(const Transition &t)
 TrainStats
 BdqLearner::trainStep()
 {
+    thread_local StepScratch scratch;
     const std::size_t batch = std::min(cfg_.minibatch, replay_.size());
     const double beta = betaSchedule_.at(step_);
-    ReplaySample &sample = sampleScratch_;
+    ReplaySample &sample = scratch.sample;
     replay_.sampleInto(batch, beta, rng_, sample);
 
     const std::size_t in = cfg_.net.inputDim();
     const std::size_t K = cfg_.net.numAgents;
     const std::size_t D = cfg_.net.numBranches();
 
-    nn::Matrix &states = statesScratch_;
-    nn::Matrix &next_states = nextStatesScratch_;
+    nn::Matrix &states = scratch.states;
+    nn::Matrix &next_states = scratch.nextStates;
     states.resize(batch, in);
     next_states.resize(batch, in);
     for (std::size_t i = 0; i < batch; ++i) {
@@ -128,14 +149,14 @@ BdqLearner::trainStep()
     }
 
     // Double DQN: online net picks the next action, target net values it.
-    nn::BdqOutput &next_online = nextOnlineScratch_;
-    nn::BdqOutput &next_target = nextTargetScratch_;
+    nn::BdqOutput &next_online = scratch.nextOnline;
+    nn::BdqOutput &next_target = scratch.nextTarget;
     online_.forward(next_states, next_online, false);
     target_.forward(next_states, next_target, false);
 
     // TD target per agent: y_k = r_k + gamma * (1/D) sum_d
     //     Q_target_{k,d}(s', argmax_a Q_online_{k,d}(s', a))
-    std::vector<std::vector<double>> &targets = targetsScratch_;
+    std::vector<std::vector<double>> &targets = scratch.targets;
     if (targets.size() != K)
         targets.resize(K);
     for (auto &per_agent : targets)
@@ -172,7 +193,7 @@ BdqLearner::trainStep()
     std::vector<std::vector<nn::Matrix>> &dq = next_target.q;
     if (dq.size() != K)
         dq.resize(K);
-    std::vector<double> &td_for_priority = tdPriorityScratch_;
+    std::vector<double> &td_for_priority = scratch.tdPriority;
     td_for_priority.assign(batch, 0.0);
     double loss = 0.0;
     double abs_td = 0.0;

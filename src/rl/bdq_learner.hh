@@ -181,15 +181,6 @@ class BdqLearner
     nn::Matrix selectInput_;
     nn::BdqOutput selectQ_;
     std::vector<std::vector<nn::BranchActions>> selectGreedy_;
-
-    // trainStep() scratch, sized on the first gradient step and then
-    // reused: the steady-state training step performs zero heap
-    // allocations (verified by tests/test_alloc.cc).
-    ReplaySample sampleScratch_;
-    nn::Matrix statesScratch_, nextStatesScratch_;
-    nn::BdqOutput nextOnlineScratch_, nextTargetScratch_;
-    std::vector<std::vector<double>> targetsScratch_;
-    std::vector<double> tdPriorityScratch_;
 };
 
 } // namespace twig::rl

@@ -88,7 +88,7 @@ std::uint32_t
 PrioritizedReplay::storeRow(const std::vector<float> &x)
 {
     const std::uint32_t row = nextRow_;
-    nextRow_ = static_cast<std::uint32_t>((row + 1) % (2 * cfg_.capacity + 2));
+    nextRow_ = static_cast<std::uint32_t>((row + 1) % ringRows());
     if (rows_.size() < (row + 1) * stateDim_)
         rows_.resize((row + 1) * stateDim_);
     std::copy(x.begin(), x.end(), rows_.begin() + row * stateDim_);
@@ -114,26 +114,26 @@ PrioritizedReplay::add(const Transition &t)
     for (const auto &a : t.actions) {
         shaped = shaped && a.size() == branches_;
         for (const std::size_t i : a)
-            common::fatalIf(i > UINT32_MAX, "replay: action index too large");
+            common::fatalIf(i > UINT16_MAX, "replay: action index too large");
     }
     common::fatalIf(!shaped,
                     "replay: transition shape differs from the first one");
 
     if (next_ == size_) { // still filling: grow by one slot
         stateRow_.push_back(0);
-        nextStateRow_.push_back(0);
         actions_.resize(actions_.size() + agents_ * branches_);
         rewards_.resize(rewards_.size() + agents_);
         done_.push_back(0);
     }
-    // The previous transition's next state is the newest row.
-    const std::size_t last = size_ == 0 ? 0 : nextStateRow_[
-        (next_ + cfg_.capacity - 1) % cfg_.capacity];
+    // The previous transition's next state is the newest row. Either
+    // way the next state's row follows the state's.
+    const std::size_t last = (nextRow_ + ringRows() - 1) % ringRows();
     const bool reuse = size_ != 0 &&
         std::memcmp(t.state.data(), rows_.data() + last * stateDim_,
                     stateDim_ * sizeof(float)) == 0;
-    stateRow_[next_] = reuse ? last : storeRow(t.state);
-    nextStateRow_[next_] = storeRow(t.nextState);
+    stateRow_[next_] = reuse ? static_cast<std::uint32_t>(last)
+                             : storeRow(t.state);
+    storeRow(t.nextState);
     for (std::size_t k = 0; k < agents_; ++k)
         std::copy(t.actions[k].begin(), t.actions[k].end(),
                   actions_.begin() + (next_ * agents_ + k) * branches_);

@@ -101,8 +101,11 @@ struct ReplaySample
  * preset is 7 of them, more than doubling its size). States live in a
  * ring of rows that transitions index, and a state equal to the
  * previous transition's next state -- every transition of a continuing
- * task -- reuses that row, so each joint state is stored once. Read
- * stored transitions back through state() .. done().
+ * task -- reuses that row, so each joint state is stored once. Rows are
+ * handed out in order, so a transition's next state is always the row
+ * after its state's, and only the state's row is stored. Action
+ * indices take 16 bits. Read stored transitions back through state()
+ * .. done().
  */
 class PrioritizedReplay
 {
@@ -112,7 +115,7 @@ class PrioritizedReplay
     /** Add a transition with max-seen priority (so it is replayed
      * soon). Fatal if its shape (state width, agents, branches per
      * agent, rewards) differs from the first transition's, or if an
-     * action index does not fit 32 bits. */
+     * action index does not fit 16 bits. */
     void add(const Transition &t);
 
     std::size_t size() const { return size_; }
@@ -145,7 +148,7 @@ class PrioritizedReplay
     }
     const float *nextState(std::size_t idx) const
     {
-        return rows_.data() + nextStateRow_[idx] * stateDim_;
+        return rows_.data() + (stateRow_[idx] + 1) % ringRows() * stateDim_;
     }
     std::size_t action(std::size_t idx, std::size_t k, std::size_t d) const
     {
@@ -162,6 +165,9 @@ class PrioritizedReplay
     /** Copy @p x into the next row of the ring; returns its index. */
     std::uint32_t storeRow(const std::vector<float> &x);
 
+    /** Rows of the state ring (see rows_). */
+    std::size_t ringRows() const { return 2 * cfg_.capacity + 2; }
+
     ReplayConfig cfg_;
     SumTree tree_;
     // Shape of every stored transition, fixed by the first add().
@@ -172,8 +178,8 @@ class PrioritizedReplay
     // adds) -- so a live row is never overwritten.
     std::vector<float> rows_;
     std::uint32_t nextRow_ = 0;
-    std::vector<std::uint32_t> stateRow_, nextStateRow_;
-    std::vector<std::uint32_t> actions_;
+    std::vector<std::uint32_t> stateRow_;
+    std::vector<std::uint16_t> actions_;
     std::vector<double> rewards_;
     std::vector<unsigned char> done_;
     std::size_t next_ = 0;

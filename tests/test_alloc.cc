@@ -161,6 +161,36 @@ TEST(Alloc, BdqTrainStepSteadyStateIsAllocationFree)
     EXPECT_EQ(n, 0) << "steady-state BdqLearner::trainStep allocated";
 }
 
+/** Two learners of different shapes take turns with the thread's
+ * training workspace: once both have stepped, it fits either, and
+ * alternating their steps allocates nothing. */
+TEST(Alloc, InterleavedLearnersShareTheWorkspaceAllocationFree)
+{
+    Rng rng(8);
+    rl::BdqLearnerConfig wide = smallLearner();
+    wide.net.trunkHidden = {40, 16};
+    wide.minibatch = 24;
+    rl::BdqLearner a(smallLearner(), rng), b(wide, rng);
+    Rng env(12);
+    for (int i = 0; i < 64; ++i) {
+        const rl::Transition t = randomTransition(env);
+        a.observe(t);
+        b.observe(t);
+    }
+    for (int i = 0; i < 3; ++i) {
+        a.trainStep();
+        b.trainStep();
+    }
+
+    const long long n = countAllocations([&] {
+        for (int i = 0; i < 5; ++i) {
+            a.trainStep();
+            b.trainStep();
+        }
+    });
+    EXPECT_EQ(n, 0) << "alternating BdqLearner::trainStep allocated";
+}
+
 TEST(Alloc, MlpTrainStepSteadyStateIsAllocationFree)
 {
     nn::MlpConfig cfg;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <thread>
 
 #include "common/error.hh"
 #include "common/rng.hh"
@@ -350,6 +352,135 @@ TEST(Bdq, BackwardRequiresTrainForward)
     std::vector<std::vector<Matrix>> dq(1);
     dq[0] = {Matrix(1, 5, 0.0f), Matrix(1, 3, 0.0f)};
     EXPECT_THROW(net.backward(dq), twig::common::PanicError);
+}
+
+namespace {
+
+/** A dq shaped for @p cfg at @p batch rows, all entries @p v. */
+std::vector<std::vector<Matrix>>
+constantDq(const BdqConfig &cfg, std::size_t batch, float v)
+{
+    std::vector<std::vector<Matrix>> dq(cfg.numAgents);
+    for (auto &per_agent : dq)
+        for (std::size_t n : cfg.branchActions)
+            per_agent.emplace_back(batch, n, v);
+    return dq;
+}
+
+} // namespace
+
+/**
+ * Train activations live in one per-thread workspace: backward() after
+ * another network's train-mode forward on the thread would read that
+ * network's activations, so it panics; it still runs after evaluation
+ * forwards of any network, and a network's own later train forward
+ * makes it valid again.
+ */
+TEST(Bdq, BackwardAfterAnotherNetworksTrainForwardPanics)
+{
+    Rng rng(21);
+    const auto cfg = smallConfig(2);
+    MultiAgentBdq a(cfg, rng), b(cfg, rng);
+    const Matrix x = randomBatch(4, cfg.inputDim(), rng);
+    const auto dq = constantDq(cfg, 4, 0.1f);
+    BdqOutput out;
+
+    a.forward(x, out, true);
+    b.forward(x, out, true);
+    EXPECT_THROW(a.backward(dq), twig::common::PanicError);
+    EXPECT_NO_THROW(b.backward(dq));
+
+    a.forward(x, out, true);
+    b.forward(x, out, false); // evaluation passes do not interfere
+    a.forward(randomBatch(9, cfg.inputDim(), rng), out, false);
+    EXPECT_NO_THROW(a.backward(dq));
+}
+
+TEST(Bdq, BackwardOnAnotherThreadThanItsForwardPanics)
+{
+    Rng rng(22);
+    const auto cfg = smallConfig(1);
+    MultiAgentBdq net(cfg, rng);
+    const Matrix x = randomBatch(3, cfg.inputDim(), rng);
+    const auto dq = constantDq(cfg, 3, 0.1f);
+    BdqOutput out;
+    net.forward(x, out, true);
+    bool threw = false;
+    std::thread([&] {
+        try {
+            net.backward(dq);
+        } catch (const twig::common::PanicError &) {
+            threw = true;
+        }
+    }).join();
+    EXPECT_TRUE(threw);
+    EXPECT_NO_THROW(net.backward(dq));
+}
+
+/** Each network keeps its own gradients: another network's backward
+ * between this one's backward and its Adam step changes neither. */
+TEST(Bdq, AnotherNetworksBackwardLeavesThisNetworksGradients)
+{
+    Rng rng(24);
+    const auto cfg = smallConfig(2);
+    MultiAgentBdq a(cfg, rng), b(cfg, rng), alone(cfg, rng);
+    alone.copyParamsFrom(a);
+    const Matrix x = randomBatch(4, cfg.inputDim(), rng);
+    const Matrix xb = randomBatch(4, cfg.inputDim(), rng);
+    const auto dq = constantDq(cfg, 4, 0.1f);
+    const auto dqb = constantDq(cfg, 4, -0.3f);
+    BdqOutput out;
+
+    alone.forward(x, out, true);
+    alone.backward(dq);
+    alone.adamStep();
+
+    a.forward(x, out, true);
+    a.backward(dq);
+    b.forward(xb, out, true);
+    b.backward(dqb);
+    a.adamStep();
+    std::ostringstream want, got;
+    alone.save(want);
+    a.save(got);
+    EXPECT_EQ(got.str(), want.str());
+}
+
+/** An evaluation pass between a train forward and its backward leaves
+ * the gradients and the step exactly as without it. */
+TEST(Bdq, EvalForwardBetweenForwardAndBackwardChangesNoGradient)
+{
+    Rng rng(23);
+    const auto cfg = smallConfig(2);
+    MultiAgentBdq plain(cfg, rng);
+    MultiAgentBdq mixed(cfg, rng);
+    mixed.copyParamsFrom(plain);
+    const Matrix x = randomBatch(6, cfg.inputDim(), rng);
+    const Matrix other = randomBatch(11, cfg.inputDim(), rng);
+    const auto dq = constantDq(cfg, 6, 0.05f);
+    BdqOutput out;
+
+    plain.forward(x, out, true);
+    plain.backward(dq);
+    std::vector<Matrix> want;
+    for (std::size_t d = 0; d < cfg.numBranches(); ++d)
+        want.push_back(plain.advantageOutputLayer(d).gradWeight());
+    plain.adamStep();
+
+    mixed.forward(x, out, true);
+    mixed.forward(other, out, false);
+    mixed.backward(dq);
+    for (std::size_t d = 0; d < cfg.numBranches(); ++d) {
+        const Matrix &got = mixed.advantageOutputLayer(d).gradWeight();
+        ASSERT_EQ(std::memcmp(got.data(), want[d].data(),
+                              got.size() * sizeof(float)),
+                  0);
+    }
+    mixed.adamStep();
+    std::ostringstream p1, p2;
+    plain.save(p1);
+    mixed.save(p2);
+    EXPECT_EQ(p1.str(), p2.str());
 }
 
 namespace {

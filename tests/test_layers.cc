@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <sstream>
 
 #include "common/rng.hh"
@@ -278,6 +280,90 @@ TEST(ReLU, BackwardMasksGradient)
     EXPECT_FLOAT_EQ(dx(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(dx(0, 1), 5.0f);
     EXPECT_FLOAT_EQ(dx(0, 2), 5.0f);
+}
+
+/**
+ * ReLU::backward (lane code) against the seed's `mask ? dy : 0.0f`,
+ * bit for bit, out of place and in place, for sizes with every
+ * remainder of the 16-element lane loop. dy carries -0, NaN (with a
+ * payload), infinities and subnormals on both sides of the mask, and
+ * the forward input pre-activations of exactly 0 and -0.
+ */
+TEST(ReLU, BackwardIsBitExactOnEdgeValues)
+{
+    Rng rng(31);
+    const float specials[] = {-0.0f, 0.0f, std::nanf("7"), INFINITY,
+                              -INFINITY, 1e-40f, -1e-40f};
+    for (std::size_t cols = 1; cols <= 40; ++cols) {
+        const std::size_t rows = 1 + cols % 3;
+        Matrix x(rows, cols), y, dy(rows, cols);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            x.raw()[i] = i % 5 == 0 ? (i % 2 ? -0.0f : 0.0f)
+                                    : static_cast<float>(
+                                          rng.uniform(-1.0, 1.0));
+            dy.raw()[i] = i % 4 == 1
+                ? specials[(i / 4) % std::size(specials)]
+                : static_cast<float>(rng.uniform(-3.0, 3.0));
+        }
+        ReLU relu;
+        relu.forward(x, y);
+        Matrix want(rows, cols);
+        for (std::size_t i = 0; i < x.size(); ++i)
+            want.raw()[i] = x.raw()[i] > 0.0f ? dy.raw()[i] : 0.0f;
+
+        Matrix dx;
+        relu.backward(dy, dx);
+        ASSERT_EQ(std::memcmp(dx.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "out of place, cols=" << cols;
+        Matrix inPlace = dy;
+        relu.backward(inPlace, inPlace);
+        ASSERT_EQ(std::memcmp(inPlace.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "in place, cols=" << cols;
+    }
+}
+
+/** The fused forward's mask drives backward exactly as ReLU::forward's
+ * does, and an evaluation pass (no mask) leaves the layer's recorded
+ * input and the ReLU's mask as the last train pass left them. */
+TEST(Linear, FusedReluMaskMatchesSeparatePassesAndEvalKeepsIt)
+{
+    Rng rng(8);
+    Linear layer(7, 19, rng);
+    Matrix x(5, 7), other(5, 7);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        x.raw()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+        other.raw()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    Matrix pre, post, fused(5, 19);
+    layer.forward(x, pre, false);
+    ReLU separate, relu;
+    separate.forward(pre, post);
+    layer.forwardRelu(x, fused, relu.primeMask(5, 19));
+    ASSERT_EQ(std::memcmp(post.data(), fused.data(),
+                          post.size() * sizeof(float)),
+              0);
+
+    Matrix evalOut(5, 19);
+    layer.forwardRelu(other, evalOut, nullptr);
+    Matrix dy(5, 19, 1.0f), want, got;
+    separate.backward(dy, want);
+    relu.backward(dy, got);
+    ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                          want.size() * sizeof(float)),
+              0);
+    // backward() still reads x, the train pass's input: its weight
+    // gradient is x^T dy.
+    Matrix dx;
+    layer.backward(got, dx);
+    Matrix xtdy;
+    matmulTransposeA(x, got, xtdy);
+    ASSERT_EQ(std::memcmp(layer.gradWeight().data(), xtdy.data(),
+                          xtdy.size() * sizeof(float)),
+              0);
 }
 
 TEST(Dropout, IdentityInEvalMode)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -500,4 +501,139 @@ TEST(FusedKernels, MatmulBiasReluClampsAndRecordsMask)
         ASSERT_FLOAT_EQ(got.raw()[i], v > 0.0f ? v : 0.0f);
         ASSERT_EQ(mask[i], v > 0.0f ? 1 : 0);
     }
+}
+
+namespace {
+
+/** relu(v) as the seed wrote it, per element. */
+float
+scalarRelu(float v)
+{
+    return v > 0.0f ? v : 0.0f;
+}
+
+/**
+ * A [m x k] * [k x n] problem whose pre-activations include exact
+ * zeros (all-zero rows of A under 0 and -0 biases), NaNs (NaN bias
+ * columns and a NaN row of A), infinities, subnormals and ordinary
+ * values of both signs.
+ */
+struct EdgeProblem
+{
+    Matrix a, w;
+    std::vector<float> bias;
+};
+
+EdgeProblem
+edgeProblem(std::size_t m, std::size_t k, std::size_t n,
+            twig::common::Rng &rng)
+{
+    EdgeProblem p{randomMatrix(m, k, rng), randomMatrix(k, n, rng),
+                  std::vector<float>(n)};
+    const float specials[] = {0.0f,
+                              -0.0f,
+                              std::nanf(""),
+                              INFINITY,
+                              -INFINITY,
+                              1e-40f,
+                              -1e-40f};
+    for (std::size_t j = 0; j < n; ++j) {
+        p.bias[j] = j % 3 == 0
+            ? specials[(j / 3) % std::size(specials)]
+            : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    for (std::size_t i = 0; i < m; i += 4) // exact-zero accumulators
+        for (std::size_t p2 = 0; p2 < k; ++p2)
+            p.a(i, p2) = 0.0f;
+    if (m > 2)
+        p.a(2, 0) = std::nanf("");
+    return p;
+}
+
+} // namespace
+
+/**
+ * The bias+ReLU epilogue (lane code) against the seed's scalar
+ * formula applied to the bias-only product of the same kernel: equal
+ * bit for bit, every mask byte exactly 1 where the pre-activation is
+ * > 0 and 0 elsewhere (NaN, -0 and 0 included), and the maskless
+ * evaluation form writes the same values. Covers every n % 16 column
+ * tail (n = 1..33) and every m % 6 remainder (m = 1..13).
+ */
+TEST(ReluEpilogue, BitExactAgainstTheScalarFormula)
+{
+    twig::common::Rng rng(2024);
+    for (std::size_t m = 1; m <= 13; ++m) {
+        for (std::size_t n = 1; n <= 33; ++n) {
+            const std::size_t k = 1 + (m * n) % 7;
+            const EdgeProblem p = edgeProblem(m, k, n, rng);
+            Matrix pre, got, evalOut(m, n);
+            std::vector<unsigned char> mask;
+            matmulBias(p.a, p.w, p.bias, pre);
+            matmulBiasRelu(p.a, p.w, p.bias, got, mask);
+            matmulBiasRelu(p.a, p.w, p.bias, evalOut, nullptr);
+            ASSERT_EQ(mask.size(), pre.size());
+            for (std::size_t i = 0; i < pre.size(); ++i) {
+                const float v = pre.raw()[i];
+                const float want = scalarRelu(v);
+                ASSERT_EQ(std::memcmp(&want, &got.raw()[i], sizeof want),
+                          0)
+                    << "m=" << m << " n=" << n << " element " << i
+                    << " pre-activation " << v;
+                ASSERT_EQ(mask[i], v > 0.0f ? 1 : 0)
+                    << "m=" << m << " n=" << n << " element " << i;
+            }
+            ASSERT_TRUE(bitEqual(evalOut, got)) << "m=" << m << " n=" << n;
+        }
+    }
+}
+
+/** A block of rows written in place leaves every other row alone. */
+TEST(ReluEpilogue, RowBlockOutputWritesOnlyItsRows)
+{
+    twig::common::Rng rng(77);
+    const Matrix x = randomMatrix(5, 9, rng);
+    const Matrix w = randomMatrix(9, 21, rng);
+    std::vector<float> bias(21, 0.25f);
+    Matrix whole(15, 21, 7.0f);
+    std::vector<unsigned char> mask(15 * 21, 9);
+    matmulBiasRelu(x, w, bias, whole.rowBlock(5, 5), mask.data() + 5 * 21);
+
+    Matrix want;
+    std::vector<unsigned char> wantMask;
+    matmulBiasRelu(x, w, bias, want, wantMask);
+    for (std::size_t r = 0; r < 15; ++r) {
+        for (std::size_t c = 0; c < 21; ++c) {
+            const bool inside = r >= 5 && r < 10;
+            const float v = inside ? want(r - 5, c) : 7.0f;
+            ASSERT_EQ(std::memcmp(&v, &whole(r, c), sizeof v), 0);
+            ASSERT_EQ(mask[r * 21 + c],
+                      inside ? wantMask[(r - 5) * 21 + c] : 9);
+        }
+    }
+    EXPECT_THROW(matmulBiasRelu(x, w, bias, whole.rowBlock(0, 4), nullptr),
+                 twig::common::PanicError);
+}
+
+/** out += a * b^T adds, once, exactly the sum matmulTransposeB
+ * stores: 0 + a + b in that order, as two separate adds did. */
+TEST(FusedKernels, TransposeBAccumAddsTheSameSums)
+{
+    twig::common::Rng rng(5);
+    for (const auto [m, n, k] :
+         {std::array<std::size_t, 3>{13, 21, 9}, {64, 32, 18}, {7, 5, 1}}) {
+        const Matrix a1 = randomMatrix(m, k, rng), a2 = randomMatrix(m, k, rng);
+        const Matrix b1 = randomMatrix(n, k, rng), b2 = randomMatrix(n, k, rng);
+        Matrix p1, p2, want(m, n, 0.0f);
+        matmulTransposeB(a1, b1, p1);
+        matmulTransposeB(a2, b2, p2);
+        want.addInPlace(p1);
+        want.addInPlace(p2);
+        Matrix got(m, n, 0.0f);
+        matmulTransposeBAccum(a1, b1, got);
+        matmulTransposeBAccum(a2, b2, got);
+        EXPECT_TRUE(bitEqual(got, want)) << m << "x" << n << "x" << k;
+    }
+    Matrix a(3, 4), b(5, 4), out(3, 6);
+    EXPECT_THROW(matmulTransposeBAccum(a, b, out), twig::common::PanicError);
 }

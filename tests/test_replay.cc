@@ -211,6 +211,17 @@ TEST(Replay, RejectsTransitionsOfAnotherShape)
     EXPECT_THROW(buf.add(more_branches), twig::common::FatalError);
 }
 
+TEST(Replay, StoresActionIndicesInSixteenBits)
+{
+    PrioritizedReplay buf(ReplayConfig{});
+    Transition t = makeTransition(1);
+    t.actions[0][0] = 65535;
+    buf.add(t);
+    EXPECT_EQ(buf.action(0, 0, 0), 65535u);
+    t.actions[0][0] = 65536;
+    EXPECT_THROW(buf.add(t), twig::common::FatalError);
+}
+
 TEST(Replay, SampleReturnsValidIndicesAndWeights)
 {
     ReplayConfig cfg;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/static_manager.hh"
@@ -22,6 +23,7 @@
 #include "harness/engine.hh"
 #include "harness/managers.hh"
 #include "harness/runner.hh"
+#include "harness/sim_profile.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
 #include "sim/server.hh"
@@ -571,6 +573,49 @@ TEST(Engine, Fig12ColocCellMatchesHandBuiltRunner)
                      direct.metrics.energyJoules);
     EXPECT_DOUBLE_EQ(engine_run.single.metrics.avgQosGuaranteePct(),
                      direct.metrics.avgQosGuaranteePct());
+}
+
+/**
+ * With profiling on, EngineResult::profileAtRunStart holds the counters
+ * after the managers' set-up (their Eq. 2 profiling campaigns simulate
+ * intervals of their own) and before the first control interval, on
+ * both topologies: from it on, the simulator counts exactly one
+ * interference evaluation per node per interval. With profiling off
+ * it stays zero.
+ */
+TEST(Engine, ProfileAtRunStartSeparatesSetUpFromTheRun)
+{
+    using common::simprof::Phase;
+    ScenarioSpec single;
+    ServiceLoadSpec svc;
+    svc.service = "masstree";
+    svc.fraction = 0.5;
+    single.services.push_back(svc);
+    single.manager = "twig";
+    single.steps = 25;
+    single.window = 10;
+    single.horizon = 25;
+    ScenarioSpec fleet = single;
+    fleet.topology = "cluster";
+    fleet.nodes = 2;
+    fleet.hetero = false;
+    fleet.policy = "static";
+
+    for (const auto &[spec, nodes] :
+         {std::pair{single, 1u}, std::pair{fleet, 2u}}) {
+        SimProfile::reset();
+        SimProfile::enable();
+        const auto result = Engine().run(spec);
+        const auto &at_start = result.profileAtRunStart;
+        const auto run = SimProfile::snapshot().since(at_start);
+        SimProfile::disable();
+        EXPECT_GT(at_start.phase(Phase::Interference).calls, 0u)
+            << spec.topology;
+        EXPECT_EQ(run.phase(Phase::Interference).calls, nodes * 25u)
+            << spec.topology;
+        EXPECT_EQ(Engine().run(spec).profileAtRunStart.totalCycles(), 0u)
+            << spec.topology;
+    }
 }
 
 TEST(Engine, ClusterGoldenRunMatchesHandBuiltFleet)

@@ -140,8 +140,9 @@ makeParser(Options &opt)
                 "fault-schedule file (replaces the scenario's own "
                 "schedule)");
     p.addBool("--sim-profile", &opt.simProfile,
-              "print the per-phase simulator cycle breakdown (cycles, "
-              "calls, share)");
+              "print the run's per-phase simulator cycle breakdown "
+              "(cycles, calls, share), then the managers' set-up "
+              "before it as one row");
     p.addDouble("--profile-max-share", &opt.profileMaxShare,
                 "with --sim-profile: warn and exit 3 when any phase's "
                 "share exceeds this percent (0, 100]",
@@ -299,15 +300,25 @@ printFleetSummary(const harness::ScenarioSpec &spec,
     }
 }
 
-/** Print the simulator phase breakdown of the run just finished and
- * warn about every phase above @p max_share_pct; true when any is. */
+/** Print the simulator phase breakdown of the run just finished (from
+ * @p at_start, the counters when its first interval began), then the
+ * set-up before it as one row, and warn about every run phase above
+ * @p max_share_pct; true when any is. */
 bool
-printSimProfile(std::size_t steps, double max_share_pct)
+printSimProfile(std::size_t steps, double max_share_pct,
+                const harness::SimProfile &at_start)
 {
+    using common::simprof::Phase;
     std::printf("simulator phase breakdown (%zu steps):\n", steps);
-    const auto prof = harness::SimProfile::snapshot();
+    const auto prof = harness::SimProfile::snapshot().since(at_start);
     prof.print(stdout);
     harness::SimProfile::disable();
+    // Every simulated interval runs the interference model once.
+    std::printf("  set-up (manager construction, not in the shares): "
+                "%llu cycles, %llu simulated intervals\n",
+                static_cast<unsigned long long>(at_start.totalCycles()),
+                static_cast<unsigned long long>(
+                    at_start.phase(Phase::Interference).calls));
     const auto over = prof.phasesAbove(max_share_pct);
     for (const auto p : over) {
         std::printf("  WARNING: phase '%s' share %.2f%% exceeds the "
@@ -339,8 +350,9 @@ run(const Options &opt, const common::FlagParser::Result &given)
         harness::SimProfile::enable();
     }
     const auto result = harness::Engine(engine_opts).run(spec);
-    const bool over_budget =
-        opt.simProfile && printSimProfile(spec.steps, opt.profileMaxShare);
+    const bool over_budget = opt.simProfile &&
+        printSimProfile(spec.steps, opt.profileMaxShare,
+                        result.profileAtRunStart);
 
     if (trace.is_open()) {
         const auto counts = harness::writeTrace(trace, spec, result);
